@@ -20,16 +20,18 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import asdict
 from typing import Any
 
 from . import __version__
 from .birthdeath import BirthDeathRates, bdp_classify
-from .convergence import ClassifyConfig
+from .convergence import ClassifyConfig, RatioSpec, adaptive_classify
 from .errors import DemorganError, EvalError
 from .expr import parse_expression
 from .families import (
     RATE_FACTORIES,
     SERIES_FACTORIES,
+    _term_ratio,
     make_rate_family,
     make_series_family,
     make_walk_family,
@@ -51,7 +53,6 @@ from .report import (
 )
 from .tables import KINDS, load_table
 from .walk import DriftSpec, rw_classify, simulate
-from .convergence import RatioSpec, adaptive_classify
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -69,6 +70,16 @@ class _Parser(argparse.ArgumentParser):
     # inconclusive verdicts, so usage problems are rerouted to exit 1.
     def error(self, message):
         raise _UsageError(message)
+
+
+def _first_index(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
 
 
 def _add_classify_flags(p: argparse.ArgumentParser) -> None:
@@ -116,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="a_n/a_{n+1} - 1 as an expression in n")
     src.add_argument("--table", metavar="PATH", help="two-column table file")
     src.add_argument("--table-kind", choices=KINDS, default="terms")
-    src.add_argument("--first-index", type=int,
+    src.add_argument("--first-index", type=_first_index,
                      help="first index at which an expression source is valid (default: probed)")
     _add_classify_flags(ps)
     _add_output_flags(ps)
@@ -128,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     srcb.add_argument("--K", type=int, dest="family_k", help="bd-iterlog family depth")
     srcb.add_argument("--lambda", dest="lam", metavar="EXPR", help="birth rate expression")
     srcb.add_argument("--mu", dest="mu", metavar="EXPR", help="death rate expression")
-    srcb.add_argument("--first-index", type=int, default=1,
+    srcb.add_argument("--first-index", type=_first_index, default=1,
                       help="first index at which expression rates are valid (default 1)")
     _add_classify_flags(pb)
     _add_output_flags(pb)
@@ -143,8 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--seed", type=int, default=1)
     pm.add_argument("--paths", type=int, default=1000)
     pm.add_argument("--horizon", type=int, default=10_000)
-    pm.add_argument("--workers", type=int, default=1)
-    pm.add_argument("--chunk-size", type=int, default=4096)
     _add_output_flags(pm)
 
     pe = sub.add_parser("eval-iterlog", help="evaluate iterated logarithms")
@@ -177,22 +186,6 @@ def _classify_config(args: argparse.Namespace) -> ClassifyConfig:
         samples=args.samples,
         guard=not args.no_guard,
     )
-
-
-def _config_echo(config: ClassifyConfig) -> dict[str, Any]:
-    return {
-        "k_start": config.k_start,
-        "k_max": config.k_max,
-        "margin": config.margin,
-        "near_one_band": config.near_one_band,
-        "window_lo": config.window_lo,
-        "window_hi": config.window_hi,
-        "samples": config.samples,
-        "tail_fraction": config.tail_fraction,
-        "use_delta": config.use_delta,
-        "guard": config.guard,
-        "guard_threshold": config.guard_threshold,
-    }
 
 
 def _probe_first_index(term, label: str) -> int:
@@ -229,23 +222,23 @@ def _series_source(args: argparse.Namespace) -> tuple[RatioSpec, dict[str, Any]]
         return fam.ratio_spec, echo
     if args.a_n is not None:
         term = parse_expression(args.a_n)
-        first = args.first_index or _probe_first_index(term, args.a_n)
-
-        def ratio(n: int) -> float:
-            return term(n) / term(n + 1)
-
-        spec = RatioSpec(ratio=ratio, first_index=first, label=f"a_n = {args.a_n}")
+        first = args.first_index
+        if first is None:
+            first = _probe_first_index(term, args.a_n)
+        spec = RatioSpec(ratio=_term_ratio(term), first_index=first, label=f"a_n = {args.a_n}")
         return spec, {"kind": "expression", "quantity": "a_n", "text": args.a_n,
                       "first_index": first}
     if args.delta_n is not None:
         delta = parse_expression(args.delta_n)
-        first = args.first_index or _probe_first_index(
-            lambda n: 1.0 + delta(n), args.delta_n
-        )
-        spec = RatioSpec(
-            ratio=lambda n: 1.0 + delta(n), delta=delta, first_index=first,
-            label=f"delta_n = {args.delta_n}",
-        )
+
+        def ratio(n: int) -> float:
+            return 1.0 + delta(n)
+
+        first = args.first_index
+        if first is None:
+            first = _probe_first_index(ratio, args.delta_n)
+        spec = RatioSpec(ratio=ratio, delta=delta, first_index=first,
+                         label=f"delta_n = {args.delta_n}")
         return spec, {"kind": "expression", "quantity": "delta_n", "text": args.delta_n,
                       "first_index": first}
     spec = load_table(args.table, args.table_kind)
@@ -285,60 +278,33 @@ def _drift_source(args: argparse.Namespace) -> tuple[DriftSpec, dict[str, Any]]:
     return drift, {"kind": "expression", "alpha": args.alpha, "C": args.cap}
 
 
-def _verdict_exit(decision) -> int:
-    return EXIT_INCONCLUSIVE if decision in ("inconclusive",) else EXIT_OK
-
-
-def _run_classify_series(args) -> tuple[Report, int]:
-    spec, echo = _series_source(args)
+def _run_classify(args) -> tuple[Report, int]:
+    mode, source, classify, to_dict = _CLASSIFIERS[args.command]
+    spec, echo = source(args)
     config = _classify_config(args)
     t0 = time.perf_counter()
-    verdict = adaptive_classify(spec, config)
+    result = classify(spec, config)
     elapsed = (time.perf_counter() - t0) * 1e3
     report = Report(
-        mode="series",
-        input={"source": echo, "config": _config_echo(config)},
-        result=verdict_to_dict(verdict),
+        mode=mode,
+        input={"source": echo, "config": asdict(config)},
+        result=to_dict(result),
         timing_ms=elapsed,
     )
-    return report, _verdict_exit(verdict.decision.value)
+    return report, EXIT_INCONCLUSIVE if result.decision.value == "inconclusive" else EXIT_OK
 
 
-def _run_classify_bdp(args) -> tuple[Report, int]:
-    rates, echo = _rates_source(args)
-    config = _classify_config(args)
-    t0 = time.perf_counter()
-    result = bdp_classify(rates, config)
-    elapsed = (time.perf_counter() - t0) * 1e3
-    report = Report(
-        mode="bdp",
-        input={"source": echo, "config": _config_echo(config)},
-        result=classification_to_dict(result),
-        timing_ms=elapsed,
-    )
-    return report, _verdict_exit(result.decision.value)
-
-
-def _run_classify_walk(args) -> tuple[Report, int]:
-    drift, echo = _drift_source(args)
-    config = _classify_config(args)
-    t0 = time.perf_counter()
-    result = rw_classify(drift, config)
-    elapsed = (time.perf_counter() - t0) * 1e3
-    report = Report(
-        mode="rwalk",
-        input={"source": echo, "config": _config_echo(config)},
-        result=rw_classification_to_dict(result),
-        timing_ms=elapsed,
-    )
-    return report, _verdict_exit(result.decision.value)
+_CLASSIFIERS = {
+    "classify-series": ("series", _series_source, adaptive_classify, verdict_to_dict),
+    "classify-bdp": ("bdp", _rates_source, bdp_classify, classification_to_dict),
+    "classify-walk": ("rwalk", _drift_source, rw_classify, rw_classification_to_dict),
+}
 
 
 def _run_simulate(args) -> tuple[Report, int]:
     drift, echo = _drift_source(args)
     t0 = time.perf_counter()
-    sim = simulate(drift, seed=args.seed, horizon=args.horizon, n_paths=args.paths,
-                   workers=args.workers, chunk_size=args.chunk_size)
+    sim = simulate(drift, seed=args.seed, horizon=args.horizon, n_paths=args.paths)
     elapsed = (time.perf_counter() - t0) * 1e3
     report = Report(
         mode="simulate",
@@ -432,9 +398,9 @@ def _print_verdict(v: dict[str, Any], out, prefix: str = "") -> None:
 
 
 _RUNNERS = {
-    "classify-series": _run_classify_series,
-    "classify-bdp": _run_classify_bdp,
-    "classify-walk": _run_classify_walk,
+    "classify-series": _run_classify,
+    "classify-bdp": _run_classify,
+    "classify-walk": _run_classify,
     "simulate-walk": _run_simulate,
     "eval-iterlog": _run_eval_iterlog,
 }

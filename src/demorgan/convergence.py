@@ -203,6 +203,10 @@ class ClassifyConfig:
             raise ValueError(f"k_max {self.k_max} exceeds numeric cap {K_MAX_NUMERIC}")
         if not self.margin > 0:
             raise ValueError("margin must be positive")
+        if not self.near_one_band >= 0:
+            raise ValueError(f"near_one_band must be non-negative, got {self.near_one_band}")
+        if not 0 < self.guard_threshold <= 1:
+            raise ValueError(f"guard_threshold must be in (0, 1], got {self.guard_threshold}")
         if not 0 < self.tail_fraction <= 1:
             raise ValueError("tail_fraction must be in (0, 1]")
         if self.samples < 4:

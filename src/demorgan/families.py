@@ -186,13 +186,13 @@ SERIES_FACTORIES: dict[str, tuple[Callable[..., SeriesFamily], tuple[str, ...]]]
 }
 
 
-def make_series_family(name: str, **params: float) -> SeriesFamily:
-    if name not in SERIES_FACTORIES:
-        raise ValueError(
-            f"unknown series family {name!r}; known: {', '.join(sorted(SERIES_FACTORIES))}"
-        )
-    factory, wanted = SERIES_FACTORIES[name]
-    missing = [w for w in wanted if w not in params or params[w] is None]
+def _make_family(factories: dict, kind: str, name: str, params: dict):
+    """Build a family from a registry; unknown names and missing or extra
+    parameters are rejected.  A ``K`` parameter is the factory's ``depth``."""
+    if name not in factories:
+        raise ValueError(f"unknown {kind} family {name!r}; known: {', '.join(sorted(factories))}")
+    factory, wanted = factories[name]
+    missing = [w for w in wanted if params.get(w) is None]
     if missing:
         raise ValueError(f"family {name!r} needs parameter(s): {', '.join(missing)}")
     extra = [k for k, v in params.items() if k not in wanted and v is not None]
@@ -202,6 +202,10 @@ def make_series_family(name: str, **params: float) -> SeriesFamily:
     if "K" in kwargs:
         kwargs["depth"] = int(kwargs.pop("K"))
     return factory(**kwargs)
+
+
+def make_series_family(name: str, **params: float) -> SeriesFamily:
+    return _make_family(SERIES_FACTORIES, "series", name, params)
 
 
 # The canonical 12-family acceptance catalog.
@@ -317,18 +321,7 @@ RATE_FACTORIES: dict[str, tuple[Callable[..., RateFamily], tuple[str, ...]]] = {
 
 
 def make_rate_family(name: str, **params: float) -> RateFamily:
-    if name not in RATE_FACTORIES:
-        raise ValueError(
-            f"unknown rate family {name!r}; known: {', '.join(sorted(RATE_FACTORIES))}"
-        )
-    factory, wanted = RATE_FACTORIES[name]
-    missing = [w for w in wanted if w not in params or params[w] is None]
-    if missing:
-        raise ValueError(f"family {name!r} needs parameter(s): {', '.join(missing)}")
-    kwargs = {w: params[w] for w in wanted}
-    if "K" in kwargs:
-        kwargs["depth"] = int(kwargs.pop("K"))
-    return factory(**kwargs)
+    return _make_family(RATE_FACTORIES, "rate", name, params)
 
 
 # ---------------------------------------------------------------------------
@@ -397,15 +390,4 @@ WALK_FACTORIES: dict[str, tuple[Callable[..., WalkFamily], tuple[str, ...]]] = {
 
 
 def make_walk_family(name: str, **params: float) -> WalkFamily:
-    if name not in WALK_FACTORIES:
-        raise ValueError(
-            f"unknown walk family {name!r}; known: {', '.join(sorted(WALK_FACTORIES))}"
-        )
-    factory, wanted = WALK_FACTORIES[name]
-    missing = [w for w in wanted if w not in params or params[w] is None]
-    if missing:
-        raise ValueError(f"family {name!r} needs parameter(s): {', '.join(missing)}")
-    kwargs = {w: params[w] for w in wanted}
-    if "K" in kwargs:
-        kwargs["depth"] = int(kwargs.pop("K"))
-    return factory(**kwargs)
+    return _make_family(WALK_FACTORIES, "walk", name, params)

@@ -10,7 +10,7 @@ serialized with full round-trip precision.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 from .birthdeath import Classification
@@ -73,13 +73,7 @@ def verdict_to_dict(v: Verdict) -> dict[str, Any]:
                 "usable": r.usable,
                 "dropped": r.dropped,
                 "escalated": r.escalated,
-                "guard": None if r.guard is None else {
-                    "passed": r.guard.passed,
-                    "growth": r.guard.growth,
-                    "required": r.guard.required,
-                    "n_lo": r.guard.n_lo,
-                    "n_hi": r.guard.n_hi,
-                },
+                "guard": None if r.guard is None else asdict(r.guard),
             }
             for r in v.trace
         ],
@@ -101,18 +95,4 @@ def rw_classification_to_dict(c: RWClassification) -> dict[str, Any]:
 
 
 def simulation_to_dict(r: SimulationReport) -> dict[str, Any]:
-    return {
-        "n_paths": r.n_paths,
-        "horizon": r.horizon,
-        "seed": r.seed,
-        "returned_paths": r.returned_paths,
-        "returned_fraction": r.returned_fraction,
-        "mean_first_return": r.mean_first_return,
-        "max_excursion": r.max_excursion,
-        "final_positions": {
-            "mean": r.final_positions.mean,
-            "median": r.final_positions.median,
-            "min": r.final_positions.min,
-            "max": r.final_positions.max,
-        },
-    }
+    return asdict(r)

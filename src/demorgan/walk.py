@@ -10,7 +10,7 @@ Classification maps the walk onto a birth-death chain with rates
 lambda_n = 1/2 + alpha(n)/n and mu_n = 1/2 - alpha(n)/n and defers to the
 series machinery.  The Monte Carlo simulator exists to corroborate those
 verdicts empirically; it is deterministic given (seed, horizon, n_paths)
-and independent of execution order, worker count or chunking, because each
+and independent of how the paths are partitioned into blocks, because each
 path consumes its own SplitMix64 stream seeded by a fixed mixing rule.
 
 RNG contract (all arithmetic mod 2**64):
@@ -28,7 +28,6 @@ is consumed per step, including the forced step out of 0.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -44,6 +43,8 @@ _MIX_M1 = 0xBF58476D1CE4E5B9
 _MIX_M2 = 0x94D049BB133111EB
 _MASK64 = (1 << 64) - 1
 _U53 = 1 << 53
+# Paths advanced together per vectorized block; read at call time.
+_CHUNK_PATHS = 4096
 
 
 def mix64(z: int) -> int:
@@ -234,42 +235,26 @@ def _simulate_chunk(
     )
 
 
-def simulate(
-    spec: DriftSpec,
-    seed: int,
-    horizon: int,
-    n_paths: int,
-    workers: int = 1,
-    chunk_size: int = 4096,
-) -> SimulationReport:
+def simulate(spec: DriftSpec, seed: int, horizon: int, n_paths: int) -> SimulationReport:
     """Simulate n_paths independent trajectories from position 1.
 
-    Bit-identical output for identical (seed, horizon, n_paths) regardless
-    of ``workers`` or ``chunk_size``: chunking only partitions the path set,
+    Bit-identical output for identical (seed, horizon, n_paths): the paths
+    run in blocks of ``_CHUNK_PATHS``, which only partitions the path set,
     and every aggregate is an order-insensitive sum/max/count over paths.
     """
     if not isinstance(horizon, int) or horizon < 1:
         raise ValueError(f"horizon must be a positive integer, got {horizon!r}")
     if not isinstance(n_paths, int) or n_paths < 1:
         raise ValueError(f"n_paths must be a positive integer, got {n_paths!r}")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be positive")
-    seed = int(seed) & _MASK64
+    if not isinstance(seed, int) or not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     # Positions never exceed S_0 + horizon.
     thresholds, valid, alphas = _drift_tables(spec, horizon + 1)
     seeds = np.array([path_seed(seed, i) for i in range(n_paths)], dtype=np.uint64)
-    chunks = [
-        seeds[lo:lo + chunk_size] for lo in range(0, n_paths, chunk_size)
+    results = [
+        _simulate_chunk(seeds[lo:lo + _CHUNK_PATHS], horizon, thresholds, valid, alphas, spec.C)
+        for lo in range(0, n_paths, _CHUNK_PATHS)
     ]
-
-    def run(chunk: np.ndarray):
-        return _simulate_chunk(chunk, horizon, thresholds, valid, alphas, spec.C)
-
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, chunks))
-    else:
-        results = [run(chunk) for chunk in chunks]
 
     returned = sum(r[0] for r in results)
     first_ret_sum = sum(r[1] for r in results)

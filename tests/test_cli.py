@@ -85,6 +85,31 @@ class TestClassifySeries:
         code, out, err = run(capsys, "classify-series", "--family", "p-series")
         assert code == 1 and "needs parameter" in err
 
+    def test_first_index_below_one_rejected(self, capsys):
+        for first in ("0", "-3"):
+            code, out, err = run(capsys, "classify-series", "--a-n", "1/n^2",
+                                 "--first-index", first)
+            assert code == 1 and "--first-index" in err and out == ""
+
+    def test_explicit_first_index_is_echoed(self, capsys):
+        code, doc = run_json(capsys, "classify-series", "--a-n", "1/n^2",
+                             "--first-index", "5", "--no-timing")
+        assert code == 0
+        assert doc["input"]["source"]["first_index"] == 5
+
+    def test_negative_terms_are_not_decisive(self, capsys):
+        code, doc = run_json(capsys, "classify-series", "--a-n=0-1/n^2",
+                             "--first-index", "1", "--no-timing")
+        assert code == 2
+        assert doc["result"]["decision"] == "inconclusive"
+        assert doc["result"]["dropped_samples"] > 0
+
+    @pytest.mark.parametrize("band", ["-1", "nan"])
+    def test_invalid_band_rejected(self, capsys, band):
+        code, out, err = run(capsys, "classify-series", "--family", "p-series",
+                             "--p", "2", "--band", band)
+        assert code == 1 and "near_one_band" in err
+
 
 class TestClassifyBdp:
     def test_family(self, capsys):
@@ -107,6 +132,16 @@ class TestClassifyBdp:
     def test_needs_both_rate_expressions(self, capsys):
         code, out, err = run(capsys, "classify-bdp", "--lambda", "1")
         assert code == 1 and "--mu" in err
+
+    def test_extra_family_parameter_rejected(self, capsys):
+        code, out, err = run(capsys, "classify-bdp", "--family", "bd-power",
+                             "--c", "2", "--K", "3")
+        assert code == 1 and "does not take: K" in err
+
+    def test_first_index_below_one_rejected(self, capsys):
+        code, out, err = run(capsys, "classify-bdp", "--lambda", "1 + 2/n", "--mu", "1",
+                             "--first-index", "0")
+        assert code == 1 and "--first-index" in err
 
 
 class TestClassifyWalk:
@@ -143,12 +178,18 @@ class TestSimulateWalk:
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
 
-    def test_workers_flag_keeps_results(self, capsys):
-        base = ("simulate-walk", "--alpha-const", "0.3", "--paths", "64",
-                "--horizon", "300", "--seed", "5", "--no-timing")
-        _, doc1 = run_json(capsys, *base)
-        _, doc2 = run_json(capsys, *base, "--workers", "4", "--chunk-size", "9")
-        assert doc1 == doc2
+    @pytest.mark.parametrize("flag", [("--workers", "2"), ("--chunk-size", "9")],
+                             ids=["workers", "chunk-size"])
+    def test_removed_schedule_flags_rejected(self, capsys, flag):
+        code, out, err = run(capsys, "simulate-walk", "--alpha-const", "0.3",
+                             "--paths", "64", "--horizon", "300", *flag)
+        assert code == 1 and flag[0] in err
+
+    @pytest.mark.parametrize("seed", ["-5", str(1 << 64)])
+    def test_seed_out_of_range_exits_one(self, capsys, seed):
+        code, out, err = run(capsys, "simulate-walk", "--alpha-const", "0.3",
+                             "--paths", "4", "--horizon", "10", "--seed", seed)
+        assert code == 1 and "seed" in err and out == ""
 
     def test_text_format(self, capsys):
         code, out, err = run(capsys, "simulate-walk", "--alpha-const", "0.2",

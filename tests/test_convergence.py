@@ -291,6 +291,15 @@ class TestAdaptive:
         b = adaptive_classify(iterlog_power(2, 2.0).ratio_spec, config)
         assert a == b
 
+    @pytest.mark.parametrize("field,value", [
+        ("near_one_band", -1.0), ("near_one_band", math.nan),
+        ("guard_threshold", 0.0), ("guard_threshold", -3.0), ("guard_threshold", 1.5),
+        ("guard_threshold", math.nan),
+    ])
+    def test_config_rejects_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ClassifyConfig(**{field: value})
+
     def test_inconclusive_out_of_band_stops(self):
         # Oscillating tabulated ratios: tail straddles the critical value far
         # outside the near-one band, so no escalation and no verdict.

@@ -193,3 +193,18 @@ class TestWalkFamilies:
         assert fam.drift.C == 0.5
         with pytest.raises(ValueError):
             make_walk_family("alpha-const", a=None)
+
+
+@pytest.mark.parametrize("make,name,params", [
+    (make_series_family, "p-series", {"p": 2.0}),
+    (make_rate_family, "bd-power", {"c": 2.0}),
+    (make_walk_family, "alpha-const", {"a": 0.3}),
+])
+def test_registries_validate_alike(make, name, params):
+    with pytest.raises(ValueError, match="unknown .* family 'nope'"):
+        make("nope", **params)
+    with pytest.raises(ValueError, match="needs parameter"):
+        make(name)
+    with pytest.raises(ValueError, match="does not take: K"):
+        make(name, K=3, **params)
+    assert make(name, K=None, **params).params == params

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from demorgan import walk
 from demorgan.errors import InvalidDrift
 from demorgan.families import alpha_const, alpha_threshold
 from demorgan.walk import (
@@ -174,15 +175,18 @@ class TestSimulation:
         slow = simulate_reference(spec, seed=2024, horizon=400, n_paths=41)
         assert fast == slow
 
-    def test_deterministic_across_runs_chunks_workers(self):
+    def test_deterministic_across_runs_and_chunks(self, monkeypatch):
         spec = alpha_const(0.2).drift
-        runs = [
-            simulate(spec, seed=9, horizon=250, n_paths=120, workers=1, chunk_size=120),
-            simulate(spec, seed=9, horizon=250, n_paths=120, workers=1, chunk_size=7),
-            simulate(spec, seed=9, horizon=250, n_paths=120, workers=4, chunk_size=13),
-            simulate(spec, seed=9, horizon=250, n_paths=120, workers=2, chunk_size=120),
-        ]
+        runs = []
+        for chunk in (120, 7, 13, 120):
+            monkeypatch.setattr(walk, "_CHUNK_PATHS", chunk)
+            runs.append(simulate(spec, seed=9, horizon=250, n_paths=120))
         assert all(r == runs[0] for r in runs)
+
+    @pytest.mark.parametrize("seed", [-5, 1 << 64])
+    def test_seed_out_of_range_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            simulate(alpha_const(0.2).drift, seed=seed, horizon=10, n_paths=4)
 
     def test_one_step_law(self):
         # From S_0 = 1 a single step hits 0 with probability 1/2 - alpha(1);
