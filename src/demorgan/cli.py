@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     srcb.add_argument("--K", type=int, dest="family_k", help="bd-iterlog family depth")
     srcb.add_argument("--lambda", dest="lam", metavar="EXPR", help="birth rate expression")
     srcb.add_argument("--mu", dest="mu", metavar="EXPR", help="death rate expression")
-    srcb.add_argument("--first-index", type=_first_index, default=1,
+    srcb.add_argument("--first-index", type=_first_index,
                       help="first index at which expression rates are valid (default 1)")
     _add_classify_flags(pb)
     _add_output_flags(pb)
@@ -171,7 +171,7 @@ def _add_walk_source(p: argparse.ArgumentParser) -> None:
     src.add_argument("--alpha-const", type=float, metavar="A",
                      help="constant drift alpha(n) = A, 0 < A < 1/2")
     src.add_argument("--alpha", metavar="EXPR", help="drift alpha(n) as an expression in n")
-    src.add_argument("--C", type=float, default=1.0, dest="cap",
+    src.add_argument("--C", type=float, dest="cap",
                      help="drift cap C for expression drifts (default 1.0)")
 
 
@@ -213,6 +213,8 @@ def _series_source(args: argparse.Namespace) -> tuple[RatioSpec, dict[str, Any]]
             "choose exactly one of --family, --a-n, --delta-n, --table"
             + (f" (got {', '.join(chosen)})" if chosen else "")
         )
+    if args.first_index is not None and (args.family or args.table):
+        raise _UsageError("--first-index applies only to --a-n and --delta-n")
     if args.family:
         fam = make_series_family(
             args.family, p=args.p, r=args.r, x=args.x, K=args.family_k,
@@ -222,9 +224,7 @@ def _series_source(args: argparse.Namespace) -> tuple[RatioSpec, dict[str, Any]]
         return fam.ratio_spec, echo
     if args.a_n is not None:
         term = parse_expression(args.a_n)
-        first = args.first_index
-        if first is None:
-            first = _probe_first_index(term, args.a_n)
+        first = args.first_index or _probe_first_index(term, args.a_n)
         spec = RatioSpec(ratio=_term_ratio(term), first_index=first, label=f"a_n = {args.a_n}")
         return spec, {"kind": "expression", "quantity": "a_n", "text": args.a_n,
                       "first_index": first}
@@ -234,9 +234,7 @@ def _series_source(args: argparse.Namespace) -> tuple[RatioSpec, dict[str, Any]]
         def ratio(n: int) -> float:
             return 1.0 + delta(n)
 
-        first = args.first_index
-        if first is None:
-            first = _probe_first_index(ratio, args.delta_n)
+        first = args.first_index or _probe_first_index(ratio, args.delta_n)
         spec = RatioSpec(ratio=ratio, delta=delta, first_index=first,
                          label=f"delta_n = {args.delta_n}")
         return spec, {"kind": "expression", "quantity": "delta_n", "text": args.delta_n,
@@ -253,29 +251,32 @@ def _rates_source(args: argparse.Namespace) -> tuple[BirthDeathRates, dict[str, 
     if has_family == has_expr:
         raise _UsageError("choose exactly one of --family or --lambda/--mu")
     if has_family:
+        if args.first_index is not None:
+            raise _UsageError("--first-index applies only to --lambda/--mu")
         fam = make_rate_family(args.family, c=args.c, K=args.family_k)
         return fam.rates, {"kind": "family", "family": fam.name, "params": fam.params}
     if args.lam is None or args.mu is None:
         raise _UsageError("expression rates need both --lambda and --mu")
-    lam = parse_expression(args.lam)
-    mu = parse_expression(args.mu)
+    first = args.first_index or 1  # the parser rejects indices below 1
     rates = BirthDeathRates(
-        lam=lam, mu=mu, first_index=args.first_index,
+        lam=parse_expression(args.lam), mu=parse_expression(args.mu), first_index=first,
         label=f"lambda = {args.lam}, mu = {args.mu}",
     )
     return rates, {"kind": "expression", "lambda": args.lam, "mu": args.mu,
-                   "first_index": args.first_index}
+                   "first_index": first}
 
 
 def _drift_source(args: argparse.Namespace) -> tuple[DriftSpec, dict[str, Any]]:
     if (args.alpha_const is None) == (args.alpha is None):
         raise _UsageError("choose exactly one of --alpha-const or --alpha")
     if args.alpha_const is not None:
+        if args.cap is not None:
+            raise _UsageError("--C applies only to --alpha")
         fam = make_walk_family("alpha-const", a=args.alpha_const)
         return fam.drift, {"kind": "family", "family": fam.name, "params": fam.params}
-    alpha = parse_expression(args.alpha)
-    drift = DriftSpec(alpha=alpha, C=args.cap, label=f"alpha = {args.alpha}")
-    return drift, {"kind": "expression", "alpha": args.alpha, "C": args.cap}
+    cap = 1.0 if args.cap is None else args.cap
+    drift = DriftSpec(alpha=parse_expression(args.alpha), C=cap, label=f"alpha = {args.alpha}")
+    return drift, {"kind": "expression", "alpha": args.alpha, "C": cap}
 
 
 def _run_classify(args) -> tuple[Report, int]:

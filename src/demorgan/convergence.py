@@ -207,6 +207,8 @@ class ClassifyConfig:
             raise ValueError(f"near_one_band must be non-negative, got {self.near_one_band}")
         if not 0 < self.guard_threshold <= 1:
             raise ValueError(f"guard_threshold must be in (0, 1], got {self.guard_threshold}")
+        if not self.window_lo < self.window_hi:
+            raise ValueError(f"need window_lo < window_hi, got {self.window_lo}..{self.window_hi}")
         if not 0 < self.tail_fraction <= 1:
             raise ValueError("tail_fraction must be in (0, 1]")
         if self.samples < 4:

@@ -3,12 +3,14 @@
 Two-column text: an integer index and a value per line, whitespace or comma
 separated; blank lines and ``#`` comments are skipped.  The value column is
 either the series term a_n (``kind="terms"``) or the ratio a_n/a_{n+1}
-(``kind="ratios"``).  Indices must be strictly increasing.  Ratios are only
-formed between adjacent provided indices; no interpolation is ever done.
+(``kind="ratios"``).  Indices must be strictly increasing and values finite
+and positive.  Ratios are only formed between adjacent provided indices; no
+interpolation is ever done.
 """
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -40,8 +42,8 @@ def parse_rows(lines: Iterable[str]) -> list[tuple[int, float]]:
             raise ValueError(f"line {lineno}: index must be >= 1, got {n}")
         if prev is not None and n <= prev:
             raise ValueError(f"line {lineno}: indices must be strictly increasing ({prev} then {n})")
-        if not value > 0.0:
-            raise ValueError(f"line {lineno}: values must be positive, got {value}")
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"line {lineno}: values must be finite and positive, got {value}")
         rows.append((n, value))
         prev = n
     if len(rows) < 2:

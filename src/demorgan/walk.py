@@ -22,7 +22,8 @@ RNG contract (all arithmetic mod 2**64):
 
 Step t goes up iff u_t < p_up(S) * 2**53; every double in [1/2, 1) is an
 integer multiple of 2**-53, so the threshold comparison is exact.  One draw
-is consumed per step, including the forced step out of 0.
+is consumed per step, including the forced step out of 0.  alpha is
+evaluated only at positions a path stands on, when one first does.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .birthdeath import BirthDeathRates, Classification, Fate, bdp_classify
+from .birthdeath import BirthDeathRates, Classification, bdp_classify
 from .convergence import ClassifyConfig
 from .errors import EvalError, InvalidDrift
 
@@ -148,51 +149,51 @@ def rw_to_bdp(spec: DriftSpec) -> BirthDeathRates:
     )
 
 
-_WALK_FATE_OF = {
-    Fate.RECURRENT: WalkFate.RECURRENT,
-    Fate.TRANSIENT: WalkFate.TRANSIENT,
-    Fate.INCONCLUSIVE: WalkFate.INCONCLUSIVE,
-}
-
-
 def rw_classify(spec: DriftSpec, config: ClassifyConfig | None = None) -> RWClassification:
     chain = bdp_classify(rw_to_bdp(spec), config)
-    return RWClassification(decision=_WALK_FATE_OF[chain.decision], chain=chain)
+    return RWClassification(decision=WalkFate(chain.decision.value), chain=chain)
 
 
-def _drift_tables(spec: DriftSpec, max_position: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-position up-step thresholds, validity mask and raw alpha values.
+def _check_run_args(seed: int, horizon: int, n_paths: int) -> None:
+    """Argument check shared by ``simulate`` and ``simulate_reference``."""
+    if not isinstance(horizon, int) or horizon < 1:
+        raise ValueError(f"horizon must be a positive integer, got {horizon!r}")
+    if not isinstance(n_paths, int) or n_paths < 1:
+        raise ValueError(f"n_paths must be a positive integer, got {n_paths!r}")
+    if not isinstance(seed, int) or not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
 
-    Invalid positions are only an error if a path actually stands on one,
-    so violations are recorded here and raised at visit time.
+
+class _Thresholds:
+    """Up-step thresholds p_up(s) * 2**53 for positions 0..len(view) - 1.
+
+    Paths move by one per step, so a gather from ``view`` first fails at the
+    step a path first stands on len(view); ``grow`` then adds that position.
     """
-    thresholds = np.zeros(max_position + 1, dtype=np.uint64)
-    valid = np.ones(max_position + 1, dtype=bool)
-    alphas = np.zeros(max_position + 1, dtype=np.float64)
-    thresholds[0] = np.uint64(_U53)  # forced step 0 -> 1
-    for s in range(1, max_position + 1):
+
+    def __init__(self, spec: DriftSpec):
+        self._spec = spec
+        self._buf = np.empty(64, dtype=np.uint64)
+        self._buf[0] = _U53  # forced step 0 -> 1
+        self.view = self._buf[:1]
+
+    def grow(self, step: int) -> np.ndarray:
+        s = len(self.view)
         try:
-            a = spec.alpha_at(s)
-        except (InvalidDrift, EvalError):
-            valid[s] = False
-            try:
-                alphas[s] = float(spec.alpha(s))
-            except Exception:
-                alphas[s] = math.nan
-            continue
-        alphas[s] = a
-        p_up = 0.5 + a / s
-        thresholds[s] = np.uint64(int(p_up * _U53))
-    return thresholds, valid, alphas
+            a = self._spec.alpha_at(s)
+        except InvalidDrift as exc:
+            raise InvalidDrift(f"{exc} at step {step}") from exc
+        except EvalError as exc:
+            raise InvalidDrift(f"alpha({s}) fails to evaluate: {exc} at step {step}") from exc
+        if s == len(self._buf):
+            self._buf = np.concatenate([self._buf, np.empty_like(self._buf)])
+        self._buf[s] = int((0.5 + a / s) * _U53)
+        self.view = self._buf[:s + 1]
+        return self.view
 
 
 def _simulate_chunk(
-    seeds: np.ndarray,
-    horizon: int,
-    thresholds: np.ndarray,
-    valid: np.ndarray,
-    alphas: np.ndarray,
-    C: float,
+    seeds: np.ndarray, horizon: int, table: _Thresholds
 ) -> tuple[int, int, int, np.ndarray]:
     """(returned_count, first_return_sum, max_excursion, final_positions)."""
     n = seeds.shape[0]
@@ -204,14 +205,8 @@ def _simulate_chunk(
     gamma = np.uint64(GAMMA)
     m1 = np.uint64(_MIX_M1)
     m2 = np.uint64(_MIX_M2)
-    check_validity = not valid.all()
+    view = table.view
     for t in range(1, horizon + 1):
-        if check_validity and not valid[pos].all():
-            bad = int(pos[~valid[pos]].min())
-            raise InvalidDrift(
-                f"alpha({bad}) = {alphas[bad]} violates "
-                f"0 < alpha < min(C={C}, n/2={0.5 * bad}) at step {t}"
-            )
         state += gamma
         z = state.copy()
         z ^= z >> np.uint64(30)
@@ -219,20 +214,19 @@ def _simulate_chunk(
         z ^= z >> np.uint64(27)
         z *= m2
         z ^= z >> np.uint64(31)
-        up = (z >> np.uint64(11)) < thresholds[pos]
+        try:
+            thresholds = view[pos]
+        except IndexError:
+            view = table.grow(t)
+            thresholds = view[pos]
+        up = (z >> np.uint64(11)) < thresholds
         pos += np.where(up, 1, -1)
-        hit = pos == 0
-        new = hit & ~returned
+        new = (pos == 0) & ~returned
         if new.any():
             first_ret[new] = t
             returned |= new
         np.maximum(max_exc, pos, out=max_exc)
-    return (
-        int(returned.sum()),
-        int(first_ret.sum()),
-        int(max_exc.max()),
-        pos,
-    )
+    return int(returned.sum()), int(first_ret.sum()), int(max_exc.max()), pos
 
 
 def simulate(spec: DriftSpec, seed: int, horizon: int, n_paths: int) -> SimulationReport:
@@ -241,18 +235,15 @@ def simulate(spec: DriftSpec, seed: int, horizon: int, n_paths: int) -> Simulati
     Bit-identical output for identical (seed, horizon, n_paths): the paths
     run in blocks of ``_CHUNK_PATHS``, which only partitions the path set,
     and every aggregate is an order-insensitive sum/max/count over paths.
+    alpha is evaluated only at the positions paths stand on, once each, in
+    a table shared by all blocks; an alpha that is out of range or fails to
+    evaluate there raises InvalidDrift naming the position and the step.
     """
-    if not isinstance(horizon, int) or horizon < 1:
-        raise ValueError(f"horizon must be a positive integer, got {horizon!r}")
-    if not isinstance(n_paths, int) or n_paths < 1:
-        raise ValueError(f"n_paths must be a positive integer, got {n_paths!r}")
-    if not isinstance(seed, int) or not 0 <= seed <= _MASK64:
-        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
-    # Positions never exceed S_0 + horizon.
-    thresholds, valid, alphas = _drift_tables(spec, horizon + 1)
+    _check_run_args(seed, horizon, n_paths)
+    table = _Thresholds(spec)
     seeds = np.array([path_seed(seed, i) for i in range(n_paths)], dtype=np.uint64)
     results = [
-        _simulate_chunk(seeds[lo:lo + _CHUNK_PATHS], horizon, thresholds, valid, alphas, spec.C)
+        _simulate_chunk(seeds[lo:lo + _CHUNK_PATHS], horizon, table)
         for lo in range(0, n_paths, _CHUNK_PATHS)
     ]
 
@@ -260,22 +251,20 @@ def simulate(spec: DriftSpec, seed: int, horizon: int, n_paths: int) -> Simulati
     first_ret_sum = sum(r[1] for r in results)
     max_excursion = max(r[2] for r in results)
     finals = np.concatenate([r[3] for r in results])
-    mean_first_return = (first_ret_sum / returned) if returned else None
-    stats = FinalPositionStats(
-        mean=float(finals.sum()) / n_paths,
-        median=float(np.median(finals)),
-        min=int(finals.min()),
-        max=int(finals.max()),
-    )
     return SimulationReport(
         n_paths=n_paths,
         horizon=horizon,
         seed=seed,
         returned_paths=returned,
         returned_fraction=returned / n_paths,
-        mean_first_return=mean_first_return,
+        mean_first_return=(first_ret_sum / returned) if returned else None,
         max_excursion=max_excursion,
-        final_positions=stats,
+        final_positions=FinalPositionStats(
+            mean=float(finals.sum()) / n_paths,
+            median=float(np.median(finals)),
+            min=int(finals.min()),
+            max=int(finals.max()),
+        ),
     )
 
 
@@ -285,9 +274,7 @@ def simulate_reference(spec: DriftSpec, seed: int, horizon: int, n_paths: int) -
     Slow; written independently of the vectorized kernel so the two can
     check each other.
     """
-    if horizon < 1 or n_paths < 1:
-        raise ValueError("horizon and n_paths must be positive")
-    seed = int(seed) & _MASK64
+    _check_run_args(seed, horizon, n_paths)
     returned = 0
     first_ret_sum = 0
     max_excursion = 1

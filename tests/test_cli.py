@@ -104,6 +104,21 @@ class TestClassifySeries:
         assert doc["result"]["decision"] == "inconclusive"
         assert doc["result"]["dropped_samples"] > 0
 
+    @pytest.mark.parametrize("source", [
+        ("--family", "p-series", "--p", "2"), ("--table", "TABLE"),
+    ], ids=["family", "table"])
+    def test_first_index_rejected_for_family_and_table(self, capsys, tmp_path, source):
+        path = tmp_path / "t.txt"
+        path.write_text("\n".join(f"{n} {1.0 / n ** 2}" for n in range(2, 200)))
+        argv = [str(path) if a == "TABLE" else a for a in source]
+        code, out, err = run(capsys, "classify-series", *argv, "--first-index", "50")
+        assert code == 1 and "--first-index" in err and out == ""
+
+    def test_inverted_window_rejected(self, capsys):
+        code, out, err = run(capsys, "classify-series", "--family", "p-series", "--p", "2",
+                             "--window-lo", "1000", "--window-hi", "500")
+        assert code == 1 and "window_hi" in err and out == ""
+
     @pytest.mark.parametrize("band", ["-1", "nan"])
     def test_invalid_band_rejected(self, capsys, band):
         code, out, err = run(capsys, "classify-series", "--family", "p-series",
@@ -143,6 +158,11 @@ class TestClassifyBdp:
                              "--first-index", "0")
         assert code == 1 and "--first-index" in err
 
+    def test_first_index_rejected_for_family(self, capsys):
+        code, out, err = run(capsys, "classify-bdp", "--family", "bd-power", "--c", "2",
+                             "--first-index", "50")
+        assert code == 1 and "--first-index" in err and out == ""
+
 
 class TestClassifyWalk:
     @pytest.mark.parametrize("a,expected", [("0.4", "transient"), ("0.1", "recurrent"),
@@ -156,10 +176,16 @@ class TestClassifyWalk:
         code, doc = run_json(capsys, "classify-walk", "--alpha", "0.1 + 0.05/n")
         assert code == 0
         assert doc["result"]["decision"] == "recurrent"
+        assert doc["input"]["source"]["C"] == 1.0
 
     def test_invalid_constant(self, capsys):
         code, out, err = run(capsys, "classify-walk", "--alpha-const", "0.7")
         assert code == 1
+
+    @pytest.mark.parametrize("command", ["classify-walk", "simulate-walk"])
+    def test_cap_rejected_for_constant_drift(self, capsys, command):
+        code, out, err = run(capsys, command, "--alpha-const", "0.3", "--C", "5")
+        assert code == 1 and "--C" in err and out == ""
 
 
 class TestSimulateWalk:

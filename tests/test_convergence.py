@@ -294,7 +294,7 @@ class TestAdaptive:
     @pytest.mark.parametrize("field,value", [
         ("near_one_band", -1.0), ("near_one_band", math.nan),
         ("guard_threshold", 0.0), ("guard_threshold", -3.0), ("guard_threshold", 1.5),
-        ("guard_threshold", math.nan),
+        ("guard_threshold", math.nan), ("window_hi", 50),
     ])
     def test_config_rejects_out_of_range(self, field, value):
         with pytest.raises(ValueError, match=field):

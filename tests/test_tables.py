@@ -32,6 +32,12 @@ class TestParsing:
         with pytest.raises(ValueError, match=message):
             parse_rows(lines)
 
+    @pytest.mark.parametrize("value", ["inf", "Infinity", "-inf", "nan"])
+    def test_rejects_non_finite(self, value):
+        # A non-finite value would reach the report, and Infinity/NaN are not JSON.
+        with pytest.raises(ValueError, match="line 2: values must be finite and positive"):
+            parse_rows(["1 2", f"2 {value}", "3 4"])
+
 
 class TestRatioSpecs:
     def test_terms_layout(self):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from demorgan import walk
 from demorgan.errors import InvalidDrift
+from demorgan.expr import parse_expression
 from demorgan.families import alpha_const, alpha_threshold
 from demorgan.walk import (
     GAMMA,
@@ -185,8 +186,9 @@ class TestSimulation:
 
     @pytest.mark.parametrize("seed", [-5, 1 << 64])
     def test_seed_out_of_range_rejected(self, seed):
-        with pytest.raises(ValueError, match="seed"):
-            simulate(alpha_const(0.2).drift, seed=seed, horizon=10, n_paths=4)
+        for run in (simulate, simulate_reference):
+            with pytest.raises(ValueError, match="seed"):
+                run(alpha_const(0.2).drift, seed=seed, horizon=10, n_paths=4)
 
     def test_one_step_law(self):
         # From S_0 = 1 a single step hits 0 with probability 1/2 - alpha(1);
@@ -240,14 +242,71 @@ class TestSimulation:
         spec = DriftSpec(alpha=alpha, C=0.5)
         ok = simulate(spec, seed=3, horizon=25, n_paths=8)
         assert ok.max_excursion <= 26
-        with pytest.raises(InvalidDrift, match="alpha\\(30\\)"):
+        # A scalar replay of the RNG contract under the constant 0.45 finds
+        # the first step that starts on 30: one past the first time any path
+        # reaches it.
+        mask = (1 << 64) - 1
+        first_hit = []
+        for i in range(8):
+            state, pos = path_seed(3, i), 1
+            for t in range(1, 3001):
+                p_up = 1.0 if pos == 0 else 0.5 + 0.45 / pos
+                state = (state + GAMMA) & mask
+                pos += 1 if (mix64(state) >> 11) < int(p_up * (1 << 53)) else -1
+                if pos == 30:
+                    first_hit.append(t)
+                    break
+        with pytest.raises(InvalidDrift) as info:
+            simulate(spec, seed=3, horizon=3000, n_paths=8)
+        assert str(info.value) == (
+            "alpha(30) = 0.9 violates 0 < alpha < min(C=0.5, n/2=15.0) "
+            f"at step {min(first_hit) + 1}"
+        )
+
+    def test_evaluation_failure_at_visit_is_invalid_drift(self):
+        # ln(12 - n) fails at n = 12, which an up-biased walk reaches.
+        spec = DriftSpec(alpha=parse_expression("0.3 + 0*ln(12 - n)"), C=0.5)
+        with pytest.raises(InvalidDrift, match=r"alpha\(12\) fails to evaluate: .* at step \d+$"):
             simulate(spec, seed=3, horizon=3000, n_paths=8)
 
+    @pytest.mark.parametrize("seed,horizon,n_paths,chunk", [
+        (2024, 400, 41, 4096), (11, 2000, 300, 64), (3, 3000, 20, 7),
+    ])
+    def test_alpha_evaluated_once_per_reached_position(self, monkeypatch, seed, horizon,
+                                                       n_paths, chunk):
+        # alpha is evaluated at each position a path stands on before a step,
+        # once, however the paths are split into blocks; in these runs the
+        # highest position is reached before the last step, so that is
+        # exactly 1..max_excursion.
+        monkeypatch.setattr(walk, "_CHUNK_PATHS", chunk)
+        calls = []
+
+        def alpha(n):
+            calls.append(n)
+            return 0.3
+
+        report = simulate(DriftSpec(alpha=alpha, C=0.5), seed=seed, horizon=horizon,
+                          n_paths=n_paths)
+        assert sorted(calls) == list(range(1, report.max_excursion + 1))
+        assert report == simulate(alpha_const(0.3).drift, seed=seed, horizon=horizon,
+                                  n_paths=n_paths)
+
+    def test_unreached_positions_are_never_evaluated(self):
+        def alpha(n):
+            if n > 30:
+                raise ZeroDivisionError(n)
+            return 0.3
+
+        report = simulate(DriftSpec(alpha=alpha, C=0.5), seed=1, horizon=40, n_paths=4)
+        assert report.max_excursion < 30
+        assert report == simulate(alpha_const(0.3).drift, seed=1, horizon=40, n_paths=4)
+
     def test_input_validation(self):
-        with pytest.raises(ValueError):
-            simulate(QUARTER, seed=1, horizon=0, n_paths=5)
-        with pytest.raises(ValueError):
-            simulate(QUARTER, seed=1, horizon=5, n_paths=0)
+        for run in (simulate, simulate_reference):
+            with pytest.raises(ValueError, match="horizon"):
+                run(QUARTER, seed=1, horizon=0, n_paths=5)
+            with pytest.raises(ValueError, match="n_paths"):
+                run(QUARTER, seed=1, horizon=5, n_paths=0)
 
     def test_recurrent_vs_transient_return_rates(self):
         # Small-scale version of the corroboration run: the recurrent walk
