@@ -126,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--delta-n", dest="delta_n", metavar="EXPR",
                      help="a_n/a_{n+1} - 1 as an expression in n")
     src.add_argument("--table", metavar="PATH", help="two-column table file")
-    src.add_argument("--table-kind", choices=KINDS, default="terms")
+    src.add_argument("--table-kind", choices=KINDS, help="table layout (default terms)")
     src.add_argument("--first-index", type=_first_index,
                      help="first index at which an expression source is valid (default: probed)")
     _add_classify_flags(ps)
@@ -188,6 +188,24 @@ def _classify_config(args: argparse.Namespace) -> ClassifyConfig:
     )
 
 
+# Flags that only some sources read, by source, and the attribute each sets.
+_SERIES_READERS = {"--family": ("--p", "--r", "--x", "--K"), "--a-n": ("--first-index",),
+                   "--delta-n": ("--first-index",), "--table": ("--table-kind",)}
+_RATES_READERS = {"--family": ("--c", "--K"), "--lambda/--mu": ("--first-index",)}
+_DRIFT_READERS = {"--alpha-const": (), "--alpha": ("--C",)}
+_DEST = {"--p": "p", "--r": "r", "--x": "x", "--K": "family_k", "--c": "c",
+         "--first-index": "first_index", "--table-kind": "table_kind", "--C": "cap"}
+
+
+def _reject_unread(args: argparse.Namespace, readers: dict[str, tuple[str, ...]],
+                   source: str) -> None:
+    """Exit 1 on a flag that the chosen ``source`` never reads."""
+    for flag in dict.fromkeys(f for flags in readers.values() for f in flags):
+        if flag not in readers[source] and getattr(args, _DEST[flag]) is not None:
+            users = " and ".join(s for s, flags in readers.items() if flag in flags)
+            raise _UsageError(f"{flag} applies only to {users}")
+
+
 def _probe_first_index(term, label: str) -> int:
     for n in range(1, _PROBE_LIMIT + 1):
         try:
@@ -213,8 +231,7 @@ def _series_source(args: argparse.Namespace) -> tuple[RatioSpec, dict[str, Any]]
             "choose exactly one of --family, --a-n, --delta-n, --table"
             + (f" (got {', '.join(chosen)})" if chosen else "")
         )
-    if args.first_index is not None and (args.family or args.table):
-        raise _UsageError("--first-index applies only to --a-n and --delta-n")
+    _reject_unread(args, _SERIES_READERS, f"--{chosen[0]}")
     if args.family:
         fam = make_series_family(
             args.family, p=args.p, r=args.r, x=args.x, K=args.family_k,
@@ -239,8 +256,9 @@ def _series_source(args: argparse.Namespace) -> tuple[RatioSpec, dict[str, Any]]
                          label=f"delta_n = {args.delta_n}")
         return spec, {"kind": "expression", "quantity": "delta_n", "text": args.delta_n,
                       "first_index": first}
-    spec = load_table(args.table, args.table_kind)
-    echo = {"kind": "table", "path": args.table, "layout": args.table_kind,
+    kind = args.table_kind or "terms"
+    spec = load_table(args.table, kind)
+    echo = {"kind": "table", "path": args.table, "layout": kind,
             "rows": [[n, spec.ratio(n)] for n in spec.support]}
     return spec, echo
 
@@ -250,9 +268,8 @@ def _rates_source(args: argparse.Namespace) -> tuple[BirthDeathRates, dict[str, 
     has_expr = args.lam is not None or args.mu is not None
     if has_family == has_expr:
         raise _UsageError("choose exactly one of --family or --lambda/--mu")
+    _reject_unread(args, _RATES_READERS, "--family" if has_family else "--lambda/--mu")
     if has_family:
-        if args.first_index is not None:
-            raise _UsageError("--first-index applies only to --lambda/--mu")
         fam = make_rate_family(args.family, c=args.c, K=args.family_k)
         return fam.rates, {"kind": "family", "family": fam.name, "params": fam.params}
     if args.lam is None or args.mu is None:
@@ -269,9 +286,9 @@ def _rates_source(args: argparse.Namespace) -> tuple[BirthDeathRates, dict[str, 
 def _drift_source(args: argparse.Namespace) -> tuple[DriftSpec, dict[str, Any]]:
     if (args.alpha_const is None) == (args.alpha is None):
         raise _UsageError("choose exactly one of --alpha-const or --alpha")
+    _reject_unread(args, _DRIFT_READERS,
+                   "--alpha" if args.alpha_const is None else "--alpha-const")
     if args.alpha_const is not None:
-        if args.cap is not None:
-            raise _UsageError("--C applies only to --alpha")
         fam = make_walk_family("alpha-const", a=args.alpha_const)
         return fam.drift, {"kind": "family", "family": fam.name, "params": fam.params}
     cap = 1.0 if args.cap is None else args.cap

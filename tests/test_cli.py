@@ -255,6 +255,20 @@ class TestUsage:
         code, out, err = run(capsys, "classify-series", "--frobnicate")
         assert code == 1
 
+    @pytest.mark.parametrize("argv,flag", [
+        (("classify-series", "--a-n", "1/n^2", "--p", "3"), "--p"),
+        (("classify-series", "--delta-n", "2/n", "--table-kind", "ratios"), "--table-kind"),
+        (("classify-series", "--table", "TABLE", "--table-kind", "terms", "--r", "2"), "--r"),
+        (("classify-bdp", "--lambda", "1+2/n", "--mu", "1", "--c", "7"), "--c"),
+    ], ids=["a-n-p", "delta-n-table-kind", "table-r", "bdp-expression-c"])
+    def test_flag_the_source_never_reads_exits_one(self, capsys, tmp_path, argv, flag):
+        path = tmp_path / "t.txt"
+        path.write_text("\n".join(f"{n} {1.0 / n ** 2}" for n in range(2, 200)))
+        argv = [str(path) if a == "TABLE" else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {flag} applies only to")
+
     def test_unknown_command_exits_one(self, capsys):
         code, out, err = run(capsys, "transmogrify")
         assert code == 1

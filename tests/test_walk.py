@@ -1,14 +1,16 @@
 """Reflected walk: step law, chain mapping, classification, simulation."""
 
 import math
+import os
+import shutil
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from demorgan import walk
-from demorgan.errors import InvalidDrift
+from demorgan.errors import EvalError, InvalidDrift
 from demorgan.expr import parse_expression
 from demorgan.families import alpha_const, alpha_threshold
 from demorgan.walk import (
@@ -291,6 +293,19 @@ class TestSimulation:
         assert report == simulate(alpha_const(0.3).drift, seed=seed, horizon=horizon,
                                   n_paths=n_paths)
 
+    def test_failing_alpha_is_evaluated_once(self):
+        # The compiled kernel finishes the block to find the earliest step at
+        # 30; neither kernel asks alpha(30) a second time.
+        calls = []
+
+        def alpha(n):
+            calls.append(n)
+            return 0.45 if n < 30 else 0.9
+
+        with pytest.raises(InvalidDrift, match=r"^alpha\(30\) = 0\.9 .* at step \d+$"):
+            simulate(DriftSpec(alpha=alpha, C=0.5), seed=3, horizon=3000, n_paths=8)
+        assert sorted(calls) == list(range(1, 31))
+
     def test_unreached_positions_are_never_evaluated(self):
         def alpha(n):
             if n > 30:
@@ -316,3 +331,120 @@ class TestSimulation:
         assert rec.returned_fraction > 0.9
         assert tra.returned_fraction < 0.5
         assert tra.returned_fraction < rec.returned_fraction
+
+
+class TestSimulationNumpyFallback(TestSimulation):
+    """Every simulation test again, on the kernel used when no C compiler is found."""
+
+    @pytest.fixture(autouse=True)
+    def numpy_kernel(self, monkeypatch):
+        monkeypatch.setattr(walk, "_load_kernel", lambda: None)
+
+
+# Drifts for the kernel comparison: a catalog constant, an expression, and two
+# that fail at a position up-biased walks reach within a few hundred steps,
+# one out of range and one by an evaluation error.
+KERNEL_DRIFTS = {
+    "const": alpha_const(0.3).drift,
+    "expression": DriftSpec(alpha=parse_expression("0.1 + 0.05/n"), C=1.0),
+    "out-of-range": DriftSpec(alpha=lambda n: 0.45 if n < 9 else 0.9, C=0.5),
+    "fails": DriftSpec(alpha=parse_expression("0.45 + 0*ln(12 - n)"), C=0.5),
+}
+
+
+def _outcome(run, spec, seed, horizon, n_paths):
+    try:
+        return run(spec, seed=seed, horizon=horizon, n_paths=n_paths)
+    except (InvalidDrift, EvalError) as exc:
+        return exc
+
+
+class TestKernels:
+    @given(
+        drift=st.sampled_from(sorted(KERNEL_DRIFTS)),
+        seed=st.integers(min_value=0, max_value=(1 << 64) - 1),
+        n_paths=st.integers(min_value=1, max_value=40),
+        horizon=st.integers(min_value=1, max_value=300),
+        chunk=st.integers(min_value=1, max_value=50),
+    )
+    @example(drift="out-of-range", seed=3, n_paths=30, horizon=300, chunk=7)
+    @example(drift="fails", seed=5, n_paths=25, horizon=300, chunk=4)
+    @settings(max_examples=60, deadline=None)
+    def test_compiled_numpy_and_reference_agree(self, drift, seed, n_paths, horizon, chunk):
+        spec = KERNEL_DRIFTS[drift]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(walk, "_CHUNK_PATHS", chunk)
+            compiled = _outcome(simulate, spec, seed, horizon, n_paths)
+            mp.setattr(walk, "_load_kernel", lambda: None)
+            numpy = _outcome(simulate, spec, seed, horizon, n_paths)
+        reference = _outcome(simulate_reference, spec, seed, horizon, n_paths)
+        if isinstance(reference, Exception):
+            # The reference stops at the first path that fails; the kernels
+            # name the earliest step of the first block that reaches it.
+            assert isinstance(compiled, InvalidDrift) and isinstance(numpy, InvalidDrift)
+            assert str(compiled) == str(numpy)
+        else:
+            assert compiled == numpy == reference
+
+    def test_examples_reach_their_failing_position(self):
+        # The two explicit examples above do reach their failing position.
+        for drift, seed, n_paths in (("out-of-range", 3, 30), ("fails", 5, 25)):
+            with pytest.raises(InvalidDrift, match=r" at step \d+$"):
+                simulate(KERNEL_DRIFTS[drift], seed=seed, horizon=300, n_paths=n_paths)
+
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+
+
+@pytest.fixture
+def caches(tmp_path, monkeypatch):
+    """Fresh package and user cache directories for the kernel loader."""
+    package, user = tmp_path / "package" / "__pycache__", tmp_path / "xdg"
+    monkeypatch.setattr(walk, "_PACKAGE_CACHE", package)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(user))
+    return package, user / "demorgan"
+
+
+class TestKernelLoader:
+    @needs_cc
+    def test_compiled_kernel_is_used(self):
+        assert walk._load_kernel() is not None
+
+    def test_no_compiler_falls_back_to_numpy(self, caches, tmp_path, monkeypatch):
+        spec = alpha_const(0.3).drift
+        want = simulate(spec, seed=8, horizon=300, n_paths=30)
+        monkeypatch.setenv("PATH", str(tmp_path))
+        assert walk._build_kernel(walk._KERNEL_SOURCE) is None
+        monkeypatch.setattr(walk, "_load_kernel", lambda: walk._build_kernel(walk._KERNEL_SOURCE))
+        assert simulate(spec, seed=8, horizon=300, n_paths=30) == want == simulate_reference(
+            spec, seed=8, horizon=300, n_paths=30)
+
+    @needs_cc
+    def test_package_cache_first(self, caches):
+        package, user = caches
+        assert walk._build_kernel(walk._KERNEL_SOURCE) is not None
+        assert len(list(package.glob("walk-*.so"))) == 1
+        assert not user.exists()
+
+    @needs_cc
+    @pytest.mark.parametrize("why", ["unwritable", "world-writable"])
+    def test_user_cache_when_package_cache_unusable(self, caches, why):
+        package, user = caches
+        if why == "unwritable":
+            # A file where the directory should be: no mkdir succeeds there,
+            # even for the superuser, whom file modes do not stop.
+            package.parent.mkdir()
+            package.write_text("")
+        else:
+            package.mkdir(parents=True)
+            os.chmod(package, 0o777)
+        assert walk._build_kernel(walk._KERNEL_SOURCE) is not None
+        assert len(list(user.glob("walk-*.so"))) == 1
+        assert not (package.is_dir() and list(package.iterdir()))
+
+    @needs_cc
+    def test_changed_source_gets_new_file(self, caches):
+        package, _ = caches
+        for source in (walk._KERNEL_SOURCE, walk._KERNEL_SOURCE + "/* changed */\n"):
+            assert walk._build_kernel(source) is not None
+        assert len(list(package.glob("walk-*.so"))) == 2
