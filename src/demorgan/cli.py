@@ -18,6 +18,7 @@ inconclusive verdict, 1 for any error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import asdict
@@ -119,8 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--p", type=float, help="p-series exponent")
     src.add_argument("--r", type=float, help="log-power / iterlog-power exponent")
     src.add_argument("--x", type=float, help="geometric base")
-    src.add_argument("--K", type=int, dest="family_k",
-                     help="iterlog-power family depth")
+    src.add_argument("--K", type=int, help="iterlog-power family depth")
     src.add_argument("--a-n", dest="a_n", metavar="EXPR",
                      help="series term a_n as an expression in n")
     src.add_argument("--delta-n", dest="delta_n", metavar="EXPR",
@@ -136,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     srcb = pb.add_argument_group("rates source (exactly one)")
     srcb.add_argument("--family", choices=sorted(RATE_FACTORIES))
     srcb.add_argument("--c", type=float, help="rate family coefficient")
-    srcb.add_argument("--K", type=int, dest="family_k", help="bd-iterlog family depth")
+    srcb.add_argument("--K", type=int, help="bd-iterlog family depth")
     srcb.add_argument("--lambda", dest="lam", metavar="EXPR", help="birth rate expression")
     srcb.add_argument("--mu", dest="mu", metavar="EXPR", help="death rate expression")
     srcb.add_argument("--first-index", type=_first_index,
@@ -171,8 +171,7 @@ def _add_walk_source(p: argparse.ArgumentParser) -> None:
     src.add_argument("--alpha-const", type=float, metavar="A",
                      help="constant drift alpha(n) = A, 0 < A < 1/2")
     src.add_argument("--alpha", metavar="EXPR", help="drift alpha(n) as an expression in n")
-    src.add_argument("--C", type=float, dest="cap",
-                     help="drift cap C for expression drifts (default 1.0)")
+    src.add_argument("--C", type=float, help="drift cap C for expression drifts (default 1.0)")
 
 
 def _classify_config(args: argparse.Namespace) -> ClassifyConfig:
@@ -188,20 +187,19 @@ def _classify_config(args: argparse.Namespace) -> ClassifyConfig:
     )
 
 
-# Flags that only some sources read, by source, and the attribute each sets.
+# Flags that only some sources read, by source.
 _SERIES_READERS = {"--family": ("--p", "--r", "--x", "--K"), "--a-n": ("--first-index",),
                    "--delta-n": ("--first-index",), "--table": ("--table-kind",)}
 _RATES_READERS = {"--family": ("--c", "--K"), "--lambda/--mu": ("--first-index",)}
 _DRIFT_READERS = {"--alpha-const": (), "--alpha": ("--C",)}
-_DEST = {"--p": "p", "--r": "r", "--x": "x", "--K": "family_k", "--c": "c",
-         "--first-index": "first_index", "--table-kind": "table_kind", "--C": "cap"}
 
 
 def _reject_unread(args: argparse.Namespace, readers: dict[str, tuple[str, ...]],
                    source: str) -> None:
     """Exit 1 on a flag that the chosen ``source`` never reads."""
     for flag in dict.fromkeys(f for flags in readers.values() for f in flags):
-        if flag not in readers[source] and getattr(args, _DEST[flag]) is not None:
+        attr = flag.lstrip("-").replace("-", "_")
+        if flag not in readers[source] and getattr(args, attr) is not None:
             users = " and ".join(s for s, flags in readers.items() if flag in flags)
             raise _UsageError(f"{flag} applies only to {users}")
 
@@ -234,7 +232,7 @@ def _series_source(args: argparse.Namespace) -> tuple[RatioSpec, dict[str, Any]]
     _reject_unread(args, _SERIES_READERS, f"--{chosen[0]}")
     if args.family:
         fam = make_series_family(
-            args.family, p=args.p, r=args.r, x=args.x, K=args.family_k,
+            args.family, p=args.p, r=args.r, x=args.x, K=args.K,
         )
         echo = {"kind": "family", "family": fam.name, "params": fam.params,
                 "expression": fam.expression}
@@ -270,7 +268,7 @@ def _rates_source(args: argparse.Namespace) -> tuple[BirthDeathRates, dict[str, 
         raise _UsageError("choose exactly one of --family or --lambda/--mu")
     _reject_unread(args, _RATES_READERS, "--family" if has_family else "--lambda/--mu")
     if has_family:
-        fam = make_rate_family(args.family, c=args.c, K=args.family_k)
+        fam = make_rate_family(args.family, c=args.c, K=args.K)
         return fam.rates, {"kind": "family", "family": fam.name, "params": fam.params}
     if args.lam is None or args.mu is None:
         raise _UsageError("expression rates need both --lambda and --mu")
@@ -291,7 +289,7 @@ def _drift_source(args: argparse.Namespace) -> tuple[DriftSpec, dict[str, Any]]:
     if args.alpha_const is not None:
         fam = make_walk_family("alpha-const", a=args.alpha_const)
         return fam.drift, {"kind": "family", "family": fam.name, "params": fam.params}
-    cap = 1.0 if args.cap is None else args.cap
+    cap = 1.0 if args.C is None else args.C
     drift = DriftSpec(alpha=parse_expression(args.alpha), C=cap, label=f"alpha = {args.alpha}")
     return drift, {"kind": "expression", "alpha": args.alpha, "C": cap}
 
@@ -339,8 +337,9 @@ def _run_simulate(args) -> tuple[Report, int]:
 def _run_eval_iterlog(args) -> tuple[Report, int]:
     level = args.level
     what = args.what
-    if what != "min-domain" and args.x is None:
-        raise _UsageError(f"--what {what} needs --x")
+    if (what == "min-domain") != (args.x is None):
+        raise _UsageError(f"--what {what} needs --x" if args.x is None
+                          else "--x does not apply to --what min-domain")
     t0 = time.perf_counter()
     if what == "min-domain":
         value = min_domain(level)
@@ -363,6 +362,8 @@ def _run_eval_iterlog(args) -> tuple[Report, int]:
 
 
 def _as_index(x: float) -> int:
+    if not math.isfinite(x):
+        raise _UsageError(f"this evaluation needs a finite index, got {x}")
     n = int(x)
     if n != x:
         raise _UsageError(f"this evaluation needs an integer index, got {x}")
@@ -429,10 +430,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         report, code = _RUNNERS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (DemorganError, ValueError, OSError) as exc:
+    except (_UsageError, DemorganError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     if args.no_timing:

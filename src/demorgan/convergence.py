@@ -105,7 +105,7 @@ class KummerWeight:
 
 @dataclass(frozen=True)
 class ExtractionSample:
-    """One extracted coefficient s_n, flagged when cancellation ate its bits."""
+    """One sampled statistic (s_n, or Kummer's rho), flagged when cancellation ate its bits."""
 
     n: int
     s: float
@@ -232,16 +232,12 @@ def sample_grid(
         inside = [n for n in support if lo <= n <= hi]
         if len(inside) <= count:
             return tuple(inside)
-        picks = sorted({int(round(i)) for i in _linspace(0, len(inside) - 1, count)})
+        picks = sorted({round(i * (len(inside) - 1) / (count - 1)) for i in range(count)})
         return tuple(inside[i] for i in picks)
     la, lb = math.log(lo), math.log(hi)
     raw = (math.exp(la + (lb - la) * i / (count - 1)) for i in range(count))
     grid = sorted({min(max(int(round(v)), lo), hi) for v in raw})
     return tuple(grid)
-
-
-def _linspace(a: float, b: float, count: int):
-    return (a + (b - a) * i / (count - 1) for i in range(count))
 
 
 def _usable_tail(points: Sequence[SamplePoint], tail_fraction: float) -> list[SamplePoint]:
@@ -297,37 +293,12 @@ def kummer_test(
     tail maximum is below -margin *and* the weight declares a divergent
     reciprocal sum; otherwise inconclusive.
     """
-    lo, hi = window
-    if hi <= lo:
-        raise InvalidWindow(f"window [{lo}, {hi}] has n_hi <= n_lo")
-    if margin <= 0:
-        raise ValueError("margin must be positive")
-    lo = max(lo, weight.first_index, ratio.first_index)
-    if ratio.last_index is not None:
-        hi = min(hi, ratio.last_index)
-    if hi <= lo:
-        raise InvalidWindow(f"window collapsed to [{lo}, {hi}] after domain clipping")
-    pts = []
-    for n in sample_grid(lo, hi, samples, ratio.support):
-        try:
-            rho = kummer_rho(weight, ratio, n, use_delta=use_delta)
-            pts.append(SamplePoint(n, rho, True))
-        except (DomainError, EvalError, ArithmeticError):
-            pts.append(SamplePoint(n, math.nan, False))
-    tail = _usable_tail(pts, tail_fraction)
-    dropped = sum(1 for p in pts if not p.usable)
-    if not tail:
-        return Verdict(Decision.INCONCLUSIVE, None, (lo, hi), None, None, margin,
-                       tuple(pts), dropped, note="no usable tail samples")
-    r_min = min(p.value for p in tail)
-    r_max = max(p.value for p in tail)
-    if r_min > margin:
-        decision = Decision.CONVERGES
-    elif r_max < -margin and weight.reciprocal_sum_diverges:
-        decision = Decision.DIVERGES
-    else:
-        decision = Decision.INCONCLUSIVE
-    return Verdict(decision, None, (lo, hi), r_min, r_max, margin, tuple(pts), dropped)
+    return _tail_window_test(
+        lambda n: ExtractionSample(n, kummer_rho(weight, ratio, n, use_delta=use_delta)),
+        _effective_window(ratio, window, weight.first_index), ratio.support,
+        margin, samples, tail_fraction,
+        threshold=0.0, min_tail=1, may_diverge=weight.reciprocal_sum_diverges, level=None,
+    )
 
 
 def extract_sn(K: int, ratio: RatioSpec, n: int, use_delta: bool = True) -> ExtractionSample:
@@ -367,19 +338,71 @@ def reconstruct_ratio(K: int, s: float, n: int) -> float:
 
 
 def _effective_window(
-    K: int,
     ratio: RatioSpec,
-    lo_floor: int,
-    hi: int,
+    window: tuple[int, int],
+    first: int,
+    where: str = "",
 ) -> tuple[int, int]:
-    lo = max(lo_floor, min_domain(K), ratio.first_index)
+    """Clip ``window`` to the indices where both ``first`` and ``ratio`` are defined."""
+    lo, hi = window
+    if hi <= lo:
+        raise InvalidWindow(f"window [{lo}, {hi}] has n_hi <= n_lo")
+    lo = max(lo, first, ratio.first_index)
     if ratio.last_index is not None:
         hi = min(hi, ratio.last_index)
     if hi <= lo:
         raise InvalidWindow(
-            f"no admissible window at depth {K}: need indices above {lo}, have up to {hi}"
+            f"no admissible window{where}: need indices above {lo}, have up to {hi}"
         )
     return lo, hi
+
+
+def _tail_window_test(
+    statistic: Callable[[int], ExtractionSample],
+    window: tuple[int, int],
+    support: Sequence[int] | None,
+    margin: float,
+    samples: int,
+    tail_fraction: float,
+    *,
+    threshold: float,
+    min_tail: int,
+    may_diverge: bool,
+    level: int | None,
+) -> Verdict:
+    """Sample ``statistic`` over the clipped window and decide on its usable tail.
+
+    A sample that raised or carries a precision warning is kept as unusable.
+    Converges when the tail minimum exceeds threshold + margin;
+    diverges when the tail maximum is below threshold - margin and
+    ``may_diverge`` holds; inconclusive otherwise or when fewer than
+    ``min_tail`` usable samples fall in the tail.  Excluding a poisoned
+    sample can only widen Inconclusive; keeping it could flip a verdict.
+    """
+    if margin <= 0:
+        raise ValueError("margin must be positive")
+    pts = []
+    for n in sample_grid(*window, samples, support):
+        try:
+            sample = statistic(n)
+            pts.append(SamplePoint(n, sample.s, not sample.precision_warning))
+        except (DomainError, EvalError, ArithmeticError):
+            pts.append(SamplePoint(n, math.nan, False))
+    tail = _usable_tail(pts, tail_fraction)
+    dropped = sum(1 for p in pts if not p.usable)
+    if len(tail) < min_tail:
+        note = "too few usable tail samples" if min_tail > 1 else "no usable tail samples"
+        return Verdict(Decision.INCONCLUSIVE, level, window, None, None, margin,
+                       tuple(pts), dropped, note=note)
+    s_min = min(p.value for p in tail)
+    s_max = max(p.value for p in tail)
+    if s_min > threshold + margin:
+        decision = Decision.CONVERGES
+    elif s_max < threshold - margin and may_diverge:
+        decision = Decision.DIVERGES
+    else:
+        decision = Decision.INCONCLUSIVE
+    return Verdict(decision, level, window, s_min, s_max, margin, tuple(pts), dropped)
 
 
 def extended_bdm_test(
@@ -395,38 +418,14 @@ def extended_bdm_test(
 
     At K = 1 this is the classical Bertrand r_n test.  Samples whose
     extraction raised a domain error or tripped the cancellation warning are
-    recorded but excluded from the tail extrema; a poisoned sample can flip a
-    verdict, a dropped one can only widen Inconclusive.
+    recorded but excluded from the tail extrema.
     """
-    if margin <= 0:
-        raise ValueError("margin must be positive")
-    if window is None:
-        lo, hi = _effective_window(K, ratio, DEFAULT_WINDOW_FLOOR, DEFAULT_WINDOW_HI)
-    else:
-        if window[1] <= window[0]:
-            raise InvalidWindow(f"window [{window[0]}, {window[1]}] has n_hi <= n_lo")
-        lo, hi = _effective_window(K, ratio, window[0], window[1])
-    pts = []
-    for n in sample_grid(lo, hi, samples, ratio.support):
-        try:
-            sample = extract_sn(K, ratio, n, use_delta=use_delta)
-            pts.append(SamplePoint(n, sample.s, not sample.precision_warning))
-        except (DomainError, EvalError, ArithmeticError):
-            pts.append(SamplePoint(n, math.nan, False))
-    tail = _usable_tail(pts, tail_fraction)
-    dropped = sum(1 for p in pts if not p.usable)
-    if len(tail) < 2:
-        return Verdict(Decision.INCONCLUSIVE, K, (lo, hi), None, None, margin,
-                       tuple(pts), dropped, note="too few usable tail samples")
-    s_min = min(p.value for p in tail)
-    s_max = max(p.value for p in tail)
-    if s_min > 1.0 + margin:
-        decision = Decision.CONVERGES
-    elif s_max < 1.0 - margin:
-        decision = Decision.DIVERGES
-    else:
-        decision = Decision.INCONCLUSIVE
-    return Verdict(decision, K, (lo, hi), s_min, s_max, margin, tuple(pts), dropped)
+    window = _effective_window(ratio, window or (DEFAULT_WINDOW_FLOOR, DEFAULT_WINDOW_HI),
+                               min_domain(K), f" at depth {K}")
+    return _tail_window_test(
+        lambda n: extract_sn(K, ratio, n, use_delta=use_delta), window, ratio.support,
+        margin, samples, tail_fraction, threshold=1.0, min_tail=2, may_diverge=True, level=K,
+    )
 
 
 def _consistency_guard(
@@ -479,18 +478,17 @@ def adaptive_classify(ratio: RatioSpec, config: ClassifyConfig | None = None) ->
     config = config or ClassifyConfig()
     reports: list[LevelReport] = []
     K = config.k_start
-    last_verdict: Verdict | None = None
+    verdict: Verdict | None = None
     while True:
         try:
-            window = _effective_window(K, ratio, config.window_lo, config.window_hi)
+            verdict = extended_bdm_test(
+                K, ratio, (config.window_lo, config.window_hi), config.margin,
+                config.samples, config.tail_fraction, config.use_delta,
+            )
         except InvalidWindow as exc:
-            note = f"depth {K} not reachable: {exc}"
-            return _inconclusive(config, K, reports, last_verdict, note)
-        verdict = extended_bdm_test(
-            K, ratio, window, config.margin,
-            config.samples, config.tail_fraction, config.use_delta,
-        )
-        last_verdict = verdict
+            base = verdict or Verdict(Decision.INCONCLUSIVE, K, (0, 0), None, None, config.margin)
+            return replace(base, decision=Decision.INCONCLUSIVE, trace=tuple(reports),
+                           note=f"depth {K} not reachable: {exc}")
         guard = None
         escalate_reason = ""
         if verdict.decision is not Decision.INCONCLUSIVE:
@@ -535,15 +533,3 @@ def _level_report(verdict: Verdict, guard: GuardReport | None, escalated: str = 
         escalated=escalated,
     )
 
-
-def _inconclusive(
-    config: ClassifyConfig,
-    K: int,
-    reports: list[LevelReport],
-    last_verdict: Verdict | None,
-    note: str,
-) -> Verdict:
-    base = last_verdict or Verdict(
-        Decision.INCONCLUSIVE, K, (0, 0), None, None, config.margin,
-    )
-    return replace(base, decision=Decision.INCONCLUSIVE, trace=tuple(reports), note=note)

@@ -20,7 +20,7 @@ walk families supply the position-dependent drift alpha.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import mpmath as mp
@@ -34,18 +34,22 @@ from .walk import DriftSpec, WalkFate
 
 
 @dataclass(frozen=True)
-class SeriesFamily:
+class _Family:
     name: str
     params: dict[str, float]
-    expression: str
-    ratio_spec: RatioSpec
-    truth: Decision
-    hp_term: Callable[[int], mp.mpf]
 
     @property
     def label(self) -> str:
         inner = ", ".join(f"{k}={v:g}" for k, v in self.params.items())
         return f"{self.name}({inner})"
+
+
+@dataclass(frozen=True)
+class SeriesFamily(_Family):
+    expression: str
+    ratio_spec: RatioSpec
+    truth: Decision
+    hp_term: Callable[[int], mp.mpf]
 
 
 def _term_ratio(term: Callable[[float], float]) -> Callable[[int], float]:
@@ -57,98 +61,68 @@ def _term_ratio(term: Callable[[float], float]) -> Callable[[int], float]:
     return ratio
 
 
-def p_series(p: float) -> SeriesFamily:
-    if not math.isfinite(p):
-        raise ValueError("p must be finite")
-    expression = f"1/n^{p!r}"
-    term = parse_expression(expression)
+def _log_scale(name: str, depth: int, params: dict[str, float]) -> SeriesFamily:
+    """1/(n * ln(n) * ... * ln_(depth)(n) * ln_(depth+1)(n)^r), where ln_(0)(n) = n.
 
-    def delta(n: int) -> float:
-        return math.expm1(p * math.log1p(1.0 / n))
-
-    def hp_term(n: int) -> mp.mpf:
-        return mp.mpf(n) ** (-mp.mpf(repr(p)))
-
-    return SeriesFamily(
-        name="p-series",
-        params={"p": p},
-        expression=expression,
-        ratio_spec=RatioSpec(
-            ratio=_term_ratio(term), delta=delta, first_index=1, label=f"p-series(p={p:g})",
-        ),
-        truth=Decision.CONVERGES if p > 1 else Decision.DIVERGES,
-        hp_term=hp_term,
-    )
-
-
-def log_power(r: float) -> SeriesFamily:
+    Depth -1 is the p-series n^-p and depth 0 the log-power 1/(n ln(n)^r).
+    """
+    key = "p" if depth < 0 else "r"
+    r = params[key]
     if not math.isfinite(r):
-        raise ValueError("r must be finite")
-    expression = f"1/(n*ln(n)^{r!r})"
-    term = parse_expression(expression)
-
-    def delta(n: int) -> float:
-        u = math.log1p(1.0 / n)
-        return math.expm1(u + r * math.log1p(u / math.log(n)))
-
-    def hp_term(n: int) -> mp.mpf:
-        return 1 / (mp.mpf(n) * mp.ln(n) ** mp.mpf(repr(r)))
-
-    return SeriesFamily(
-        name="log-power",
-        params={"r": r},
-        expression=expression,
-        ratio_spec=RatioSpec(
-            ratio=_term_ratio(term), delta=delta, first_index=2, label=f"log-power(r={r:g})",
-        ),
-        truth=Decision.CONVERGES if r > 1 else Decision.DIVERGES,
-        hp_term=hp_term,
-    )
-
-
-def iterlog_power(depth: int, r: float) -> SeriesFamily:
-    """1 / (n * ln(n) * ... * ln_(depth)(n) * ln_(depth+1)(n)^r)."""
-    if not isinstance(depth, int) or not 1 <= depth <= K_MAX_NUMERIC - 1:
-        raise ValueError(f"depth must be an integer in 1..{K_MAX_NUMERIC - 1}")
-    if not math.isfinite(r):
-        raise ValueError("r must be finite")
-    parts = ["n", "ln(n)"] + [f"iterlog({k},n)" for k in range(2, depth + 1)]
-    expression = f"1/({'*'.join(parts)}*iterlog({depth + 1},n)^{r!r})"
-    term = parse_expression(expression)
-    first = min_domain(depth + 1)
+        raise ValueError(f"{key} must be finite")
+    factors = ["n", "ln(n)"] + [f"iterlog({k},n)" for k in range(2, depth + 2)]
+    body = "*".join(factors[:depth + 1] + [f"{factors[depth + 1]}^{r!r}"])
+    expression = f"1/({body})" if depth >= 0 else f"1/{body}"
+    first, *rest = (1.0,) * (depth + 1) + (r,)
 
     def delta(n: int) -> float:
         # ln(ratio) telescopes through the log chain: with u_1 = log1p(1/n)
-        # and u_{k+1} = log1p(u_k / ln_(k)(n)), the k-th factor contributes
-        # u_{k+1} and the power factor r * u_{depth+2}.
+        # and u_{k+1} = log1p(u_k / ln_(k)(n)), the factor ln_(k)(n) adds
+        # u_{k+1}, and the power factor r * u_{depth+2}.
         u = math.log1p(1.0 / n)
-        total = u
-        v = float(n)
-        for k in range(1, depth + 2):
-            v = math.log(v)  # ln_(k)(n)
+        total, v = first * u, n
+        for w in rest:
+            v = math.log(v)
             u = math.log1p(u / v)
-            total += u if k <= depth else r * u
+            total += w * u
         return math.expm1(total)
 
     def hp_term(n: int) -> mp.mpf:
-        d = mp.mpf(n)
-        v = mp.mpf(n)
+        d = v = mp.mpf(n)
+        if depth < 0:
+            return v ** -mp.mpf(repr(r))
         for _ in range(depth):
             v = mp.ln(v)
             d *= v
         return 1 / (d * mp.ln(v) ** mp.mpf(repr(r)))
 
     return SeriesFamily(
-        name="iterlog-power",
-        params={"K": depth, "r": r},
+        name=name,
+        params=params,
         expression=expression,
         ratio_spec=RatioSpec(
-            ratio=_term_ratio(term), delta=delta, first_index=first,
-            label=f"iterlog-power(K={depth}, r={r:g})",
+            ratio=_term_ratio(parse_expression(expression)), delta=delta,
+            first_index=1 if depth < 0 else min_domain(depth + 1),
+            label=_Family(name, params).label,
         ),
         truth=Decision.CONVERGES if r > 1 else Decision.DIVERGES,
         hp_term=hp_term,
     )
+
+
+def p_series(p: float) -> SeriesFamily:
+    return _log_scale("p-series", -1, {"p": p})
+
+
+def log_power(r: float) -> SeriesFamily:
+    return _log_scale("log-power", 0, {"r": r})
+
+
+def iterlog_power(depth: int, r: float) -> SeriesFamily:
+    """1 / (n * ln(n) * ... * ln_(depth)(n) * ln_(depth+1)(n)^r)."""
+    if not isinstance(depth, int) or not 1 <= depth <= K_MAX_NUMERIC - 1:
+        raise ValueError(f"depth must be an integer in 1..{K_MAX_NUMERIC - 1}")
+    return _log_scale("iterlog-power", depth, {"K": depth, "r": r})
 
 
 def geometric(x: float) -> SeriesFamily:
@@ -231,16 +205,9 @@ ACCEPTANCE_CATALOG: tuple[tuple[str, dict[str, float]], ...] = (
 
 
 @dataclass(frozen=True)
-class RateFamily:
-    name: str
-    params: dict[str, float]
+class RateFamily(_Family):
     rates: BirthDeathRates
     truth: Fate
-
-    @property
-    def label(self) -> str:
-        inner = ", ".join(f"{k}={v:g}" for k, v in self.params.items())
-        return f"{self.name}({inner})"
 
 
 def bd_power(c: float) -> RateFamily:
@@ -261,24 +228,10 @@ def bd_power(c: float) -> RateFamily:
 
 
 def bd_log(c: float) -> RateFamily:
-    """lambda/mu = 1 + 1/n + c/(n ln n); transient iff c > 1."""
-    if not (math.isfinite(c) and c >= 0):
-        raise ValueError("c must be finite and non-negative")
-
-    def delta(n: int) -> float:
-        return 1.0 / n + c / (n * math.log(n))
-
-    rates = BirthDeathRates(
-        lam=lambda n: 1.0 + delta(n),
-        mu=lambda n: 1.0,
-        first_index=2,
-        ratio_delta=delta,
-        label=f"bd-log(c={c:g})",
-    )
-    return RateFamily(
-        name="bd-log", params={"c": c}, rates=rates,
-        truth=Fate.TRANSIENT if c > 1 else Fate.RECURRENT,
-    )
+    """lambda/mu = 1 + 1/n + c/(n ln n), bd-iterlog at depth 1; transient iff c > 1."""
+    fam = bd_iterlog(1, c)
+    return replace(fam, name="bd-log", params={"c": c},
+                   rates=replace(fam.rates, label=f"bd-log(c={c:g})"))
 
 
 def bd_iterlog(depth: int, c: float) -> RateFamily:
@@ -292,12 +245,17 @@ def bd_iterlog(depth: int, c: float) -> RateFamily:
     if not (math.isfinite(c) and c >= 0):
         raise ValueError("c must be finite and non-negative")
     first = min_domain(depth)
+    weights = (1.0,) * (depth - 1) + (c,)
 
     def delta(n: int) -> float:
-        total = 1.0 / n
-        for k in range(1, depth):
-            total += 1.0 / (n * iterlog_product(k, n))
-        total += c / (n * iterlog_product(depth, n))
+        if n < first:
+            raise DomainError(f"bd-iterlog: index {n} below min_domain({depth}) = {first}")
+        # One pass down the log chain; prod is ln(n) * ... * ln_(k)(n).
+        total, v, prod = 1.0 / n, n, 1.0
+        for w in weights:
+            v = math.log(v)
+            prod *= v
+            total += w / (n * prod)
         return total
 
     rates = BirthDeathRates(
@@ -329,9 +287,7 @@ def make_rate_family(name: str, **params: float) -> RateFamily:
 
 
 @dataclass(frozen=True)
-class WalkFamily:
-    name: str
-    params: dict[str, float]
+class WalkFamily(_Family):
     drift: DriftSpec
     truth: WalkFate
 

@@ -249,6 +249,19 @@ class TestEvalIterlog:
         code, out, err = run(capsys, "eval-iterlog", "--K", "2")
         assert code == 1
 
+    @pytest.mark.parametrize("x", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("what", ["product", "zeta", "increment"])
+    def test_non_finite_index_exits_one(self, capsys, what, x):
+        code, out, err = run(capsys, "eval-iterlog", "--K", "1", f"--x={x}", "--what", what)
+        assert code == 1 and out == ""
+        assert err.startswith("error: this evaluation needs a finite index")
+
+    def test_min_domain_rejects_x(self, capsys):
+        code, out, err = run(capsys, "eval-iterlog", "--K", "4", "--what", "min-domain",
+                             "--x", "5")
+        assert code == 1 and out == ""
+        assert err == "error: --x does not apply to --what min-domain\n"
+
 
 class TestUsage:
     def test_unknown_flag_exits_one(self, capsys):
@@ -260,7 +273,10 @@ class TestUsage:
         (("classify-series", "--delta-n", "2/n", "--table-kind", "ratios"), "--table-kind"),
         (("classify-series", "--table", "TABLE", "--table-kind", "terms", "--r", "2"), "--r"),
         (("classify-bdp", "--lambda", "1+2/n", "--mu", "1", "--c", "7"), "--c"),
-    ], ids=["a-n-p", "delta-n-table-kind", "table-r", "bdp-expression-c"])
+        (("classify-series", "--a-n", "1/n^2", "--K", "2"), "--K"),
+        (("classify-bdp", "--lambda", "1+2/n", "--mu", "1", "--K", "2"), "--K"),
+    ], ids=["a-n-p", "delta-n-table-kind", "table-r", "bdp-expression-c", "a-n-K",
+            "bdp-expression-K"])
     def test_flag_the_source_never_reads_exits_one(self, capsys, tmp_path, argv, flag):
         path = tmp_path / "t.txt"
         path.write_text("\n".join(f"{n} {1.0 / n ** 2}" for n in range(2, 200)))

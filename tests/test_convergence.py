@@ -117,6 +117,34 @@ class TestKummerTest:
             kummer_test(LINEAR_WEIGHT, harmonic_spec(), (10, 100), margin=0.0)
 
 
+class TestTailRules:
+    """The rules that differ between the Kummer test and the depth test."""
+
+    def test_one_tail_sample_decides_kummer_but_not_depth_test(self):
+        # Four samples leave a one-sample tail: enough for Kummer, too few
+        # for the depth test, which needs two.
+        v = kummer_test(LINEAR_WEIGHT, inverse_square_spec(), (10, 10_000), margin=0.1,
+                        samples=4)
+        assert v.decision is Decision.CONVERGES and v.note == ""
+        assert v.s_min == v.s_max
+        v = extended_bdm_test(1, p_series(2.0).ratio_spec, (10, 10_000), margin=0.2,
+                              samples=4)
+        assert v.decision is Decision.INCONCLUSIVE
+        assert v.note == "too few usable tail samples"
+        assert v.s_min is None and v.s_max is None and v.dropped == 0
+
+    def test_no_usable_samples_notes(self):
+        spec = RatioSpec(ratio=lambda n: -1.0, first_index=1)
+        v = kummer_test(LINEAR_WEIGHT, spec, (10, 1000), margin=0.1, samples=8)
+        assert v.decision is Decision.INCONCLUSIVE
+        assert v.note == "no usable tail samples"
+        assert v.s_min is None and v.dropped == len(v.samples) == 8
+        v = extended_bdm_test(1, spec, (10, 1000), margin=0.1, samples=8)
+        assert v.decision is Decision.INCONCLUSIVE
+        assert v.note == "too few usable tail samples"
+        assert v.s_min is None and v.dropped == len(v.samples) == 8
+
+
 class TestExtraction:
     def test_harmonic_cancels_exactly(self):
         for n in (2, 17, 10_000, 9_999_991):

@@ -15,6 +15,7 @@ from demorgan.convergence import (
     extract_sn,
     sample_grid,
 )
+from demorgan.errors import DomainError
 from demorgan.expr import parse_expression
 from demorgan.families import (
     ACCEPTANCE_CATALOG,
@@ -97,6 +98,72 @@ class TestDeltaConsistency:
         assert math.isclose(f(n), float(fam.hp_term(n)), rel_tol=1e-12)
 
 
+# The parameter grids the benchmark draws from (bench/workloads.py).
+SERIES_GRID = [round(0.3 + 0.005 * i, 6) for i in range(141)] + [
+    round(1.25 + 0.005 * i, 6) for i in range(351)]
+RATE_GRID = [round(0.005 * i, 6) for i in range(201)] + SERIES_GRID[141:]
+
+
+def _chain(n: int, length: int) -> list[float]:
+    """u_1 = log1p(1/n), u_{k+1} = log1p(u_k / ln_(k)(n)), for k < length."""
+    u, v = [math.log1p(1.0 / n)], float(n)
+    for _ in range(length - 1):
+        v = math.log(v)
+        u.append(math.log1p(u[-1] / v))
+    return u
+
+
+def _closed_p_series(p, n):
+    return math.expm1(p * math.log1p(1.0 / n))
+
+
+def _closed_log_power(r, n):
+    u = math.log1p(1.0 / n)
+    return math.expm1(u + r * math.log1p(u / math.log(n)))
+
+
+def _closed_iterlog_power(K, r, n):
+    u = _chain(n, K + 2)
+    total = u[0]
+    for k in range(1, K + 1):
+        total += u[k]
+    return math.expm1(total + r * u[K + 1])
+
+
+def _closed_bd_log(c, n):
+    return 1.0 / n + c / (n * math.log(n))
+
+
+class TestMergedDeltas:
+    """The shared log-scale delta equals, bit for bit, each closed form it replaced."""
+
+    @given(p=st.sampled_from(SERIES_GRID), u=st.floats(0.0, 1.0))
+    @settings(max_examples=300)
+    def test_p_series(self, p, u):
+        n = int(10 ** (12 * u))
+        assert p_series(p).ratio_spec.delta(n).hex() == _closed_p_series(p, n).hex()
+
+    @given(r=st.sampled_from(SERIES_GRID), u=st.floats(0.0, 1.0))
+    @settings(max_examples=300)
+    def test_log_power(self, r, u):
+        n = max(2, int(10 ** (12 * u)))
+        assert log_power(r).ratio_spec.delta(n).hex() == _closed_log_power(r, n).hex()
+
+    @given(K=st.integers(1, 3), r=st.sampled_from(SERIES_GRID), u=st.floats(0.0, 1.0))
+    @settings(max_examples=300)
+    def test_iterlog_power(self, K, r, u):
+        first = min_domain(K + 1)
+        n = int(first * (10**12 / first) ** u)
+        got = iterlog_power(K, r).ratio_spec.delta(n)
+        assert got.hex() == _closed_iterlog_power(K, r, n).hex()
+
+    @given(c=st.sampled_from(RATE_GRID), u=st.floats(0.0, 1.0))
+    @settings(max_examples=300)
+    def test_bd_log(self, c, u):
+        n = max(2, int(10 ** (12 * u)))
+        assert bd_log(c).rates.ratio_delta(n).hex() == _closed_bd_log(c, n).hex()
+
+
 class TestExpressionAgreement:
     @pytest.mark.parametrize("name,params", ACCEPTANCE_CATALOG)
     def test_family_equals_expression_route(self, name, params):
@@ -154,6 +221,11 @@ class TestRateFamilies:
         for n in sample_grid(lo, 10**7, 8):
             s = extract_sn(depth, spec, n).s
             assert abs(s - c) <= 0.1, (depth, c, n, s)
+
+    @pytest.mark.parametrize("make,n", [(bd_log, 1), (lambda c: bd_iterlog(3, c), 15)])
+    def test_delta_below_domain_raises(self, make, n):
+        with pytest.raises(DomainError):
+            make(2.0).rates.ratio_delta(n)
 
     def test_registry(self):
         fam = make_rate_family("bd-iterlog", K=2, c=1.5)
