@@ -21,13 +21,14 @@ decaying correction rather than a genuine limit gap.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Sequence
 
 from .errors import DomainError, EvalError, InvalidWindow
-from .iterlog import K_MAX_NUMERIC, iterlog, iterlog_product, min_domain, zeta_weight
+from .iterlog import K_MAX_NUMERIC, _check_index, iterlog, iterlog_product, min_domain, zeta_weight
 
 # A no-delta subtraction that lost more than half the significand of the
 # unit-scale term is unreliable; 2**-26 marks that point.
@@ -201,8 +202,8 @@ class ClassifyConfig:
             raise ValueError(f"need 1 <= k_start <= k_max, got {self.k_start}..{self.k_max}")
         if self.k_max > K_MAX_NUMERIC:
             raise ValueError(f"k_max {self.k_max} exceeds numeric cap {K_MAX_NUMERIC}")
-        if not self.margin > 0:
-            raise ValueError("margin must be positive")
+        if not 0 < self.margin < math.inf:
+            raise ValueError(f"margin must be finite and positive, got {self.margin}")
         if not self.near_one_band >= 0:
             raise ValueError(f"near_one_band must be non-negative, got {self.near_one_band}")
         if not 0 < self.guard_threshold <= 1:
@@ -234,6 +235,11 @@ def sample_grid(
             return tuple(inside)
         picks = sorted({round(i * (len(inside) - 1) / (count - 1)) for i in range(count)})
         return tuple(inside[i] for i in picks)
+    return _geometric_grid(lo, hi, count)
+
+
+@functools.lru_cache(maxsize=128, typed=True)  # every test of one window reuses its grid
+def _geometric_grid(lo: int, hi: int, count: int) -> tuple[int, ...]:
     la, lb = math.log(lo), math.log(hi)
     raw = (math.exp(la + (lb - la) * i / (count - 1)) for i in range(count))
     grid = sorted({min(max(int(round(v)), lo), hi) for v in raw})
@@ -317,9 +323,15 @@ def extract_sn(K: int, ratio: RatioSpec, n: int, use_delta: bool = True) -> Extr
         raise DomainError(f"extract_sn: n={n} beyond ratio domain end {ratio.last_index}")
     d, exact = delta_at(ratio, n, use_delta)
     t = d - 1.0 / n
-    for i in range(1, K):
-        t -= 1.0 / (float(n) * iterlog_product(i, n))
-    s = t * zeta_weight(K, n)
+    _check_index(n)
+    # One pass down the log chain in iterlog_product's operation order (bit-identical).
+    x, v, p = float(n), float(n), 1.0
+    for i in range(K):
+        if i:
+            t -= 1.0 / (x * p)
+        v = math.log(v)
+        p *= v
+    s = t * (x * p)
     warned = (not exact) and abs(t) < _CANCEL_THRESHOLD
     return ExtractionSample(n=n, s=s, precision_warning=warned)
 
@@ -379,8 +391,8 @@ def _tail_window_test(
     ``min_tail`` usable samples fall in the tail.  Excluding a poisoned
     sample can only widen Inconclusive; keeping it could flip a verdict.
     """
-    if margin <= 0:
-        raise ValueError("margin must be positive")
+    if not 0 < margin < math.inf:
+        raise ValueError(f"margin must be finite and positive, got {margin}")
     pts = []
     for n in sample_grid(*window, samples, support):
         try:

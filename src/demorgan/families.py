@@ -29,7 +29,7 @@ from .birthdeath import BirthDeathRates, Fate
 from .convergence import Decision, RatioSpec
 from .errors import DomainError
 from .expr import parse_expression
-from .iterlog import K_MAX_NUMERIC, iterlog_product, min_domain
+from .iterlog import K_MAX_NUMERIC, _check_index, min_domain
 from .walk import DriftSpec, WalkFate
 
 
@@ -322,13 +322,16 @@ def alpha_threshold(depth: int, c: float) -> WalkFamily:
         raise ValueError("c must be finite and non-negative")
     cap = 1.0
     floor_index = min_domain(depth + 1)
+    weights = (1.0,) * (depth - 1) + (c,)
 
     def alpha(n: int) -> float:
         m = max(n, floor_index)
-        value = 1.0
-        for k in range(1, depth):
-            value += 1.0 / iterlog_product(k, m)
-        value += c / iterlog_product(depth, m)
+        _check_index(m)
+        value, v, prod = 1.0, float(m), 1.0
+        for w in weights:
+            v = math.log(v)
+            prod *= v
+            value += w / prod
         value *= 0.25
         return min(value, 0.999 * min(cap, 0.5 * n))
 

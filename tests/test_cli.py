@@ -125,6 +125,12 @@ class TestClassifySeries:
                              "--p", "2", "--band", band)
         assert code == 1 and "near_one_band" in err
 
+    @pytest.mark.parametrize("margin", ["0", "nan", "inf"])
+    def test_invalid_margin_rejected(self, capsys, margin):
+        code, out, err = run(capsys, "classify-series", "--family", "p-series",
+                             "--p", "2", "--margin", margin)
+        assert code == 1 and "margin" in err and out == ""
+
 
 class TestClassifyBdp:
     def test_family(self, capsys):

@@ -23,7 +23,7 @@ from demorgan.convergence import (
 )
 from demorgan.errors import DomainError, InvalidWindow
 from demorgan.families import iterlog_power, log_power, make_series_family, p_series
-from demorgan.iterlog import min_domain, zeta_weight
+from demorgan.iterlog import INDEX_LIMIT, iterlog_product, min_domain, zeta_weight
 
 
 def harmonic_spec() -> RatioSpec:
@@ -113,8 +113,11 @@ class TestKummerTest:
             kummer_test(LINEAR_WEIGHT, harmonic_spec(), (100, 100), margin=0.1)
 
     def test_margin_must_be_positive(self):
-        with pytest.raises(ValueError):
-            kummer_test(LINEAR_WEIGHT, harmonic_spec(), (10, 100), margin=0.0)
+        for margin in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="margin"):
+                kummer_test(LINEAR_WEIGHT, harmonic_spec(), (10, 100), margin=margin)
+            with pytest.raises(ValueError, match="margin"):
+                extended_bdm_test(1, p_series(2.0).ratio_spec, margin=margin)
 
 
 class TestTailRules:
@@ -145,6 +148,27 @@ class TestTailRules:
         assert v.s_min is None and v.dropped == len(v.samples) == 8
 
 
+ONE_PASS_SPECS = [
+    harmonic_spec(),
+    p_series(2.0).ratio_spec,
+    log_power(1.1).ratio_spec,
+    iterlog_power(1, 0.9).ratio_spec,
+    iterlog_power(3, 2.0).ratio_spec,
+]
+
+
+def _per_level_sn(K, spec, n, use_delta):
+    """s_n with one validated iterlog_product per level, then zeta_weight."""
+    if use_delta and spec.delta is not None:
+        d, exact = float(spec.delta(n)), True
+    else:
+        d, exact = spec.ratio_at(n) - 1.0, False
+    t = d - 1.0 / n
+    for i in range(1, K):
+        t -= 1.0 / (float(n) * iterlog_product(i, n))
+    return t * zeta_weight(K, n), (not exact) and abs(t) < 2.0**-26
+
+
 class TestExtraction:
     def test_harmonic_cancels_exactly(self):
         for n in (2, 17, 10_000, 9_999_991):
@@ -169,6 +193,35 @@ class TestExtraction:
             extract_sn(2, harmonic_spec(), 2)
         with pytest.raises(DomainError):
             extract_sn(1, log_power(1.0).ratio_spec, 1)  # below first_index
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_index_checks_at_every_depth(self, K):
+        spec = harmonic_spec()
+        capped = RatioSpec(ratio=spec.ratio, delta=spec.delta, last_index=10**7)
+        for bad_spec, n in [
+            (spec, min_domain(K) - 1),  # below the depth's domain
+            (capped, 10**7 + 1),  # beyond last_index
+            (spec, 10**7 + 0.5),  # not an integer
+            (spec, INDEX_LIMIT),  # not exactly convertible to float
+            (spec, 2**60),
+        ]:
+            with pytest.raises(DomainError):
+                extract_sn(K, bad_spec, n)
+
+    @given(
+        K=st.integers(1, 4),
+        spec=st.sampled_from(ONE_PASS_SPECS),
+        use_delta=st.booleans(),
+        u=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=400)
+    def test_one_pass_matches_per_level_formula(self, K, spec, use_delta, u):
+        lo = max(spec.first_index, min_domain(K))
+        n = min(int(lo * (INDEX_LIMIT / lo) ** u), INDEX_LIMIT - 1)
+        sample = extract_sn(K, spec, n, use_delta)
+        s, warned = _per_level_sn(K, spec, n, use_delta)
+        assert sample.s.hex() == s.hex()
+        assert sample.precision_warning == warned
 
     def test_precision_warning_without_delta(self):
         # Raw ratio equal to the depth-2 boundary shape: the depth-2 bracket
@@ -323,6 +376,7 @@ class TestAdaptive:
         ("near_one_band", -1.0), ("near_one_band", math.nan),
         ("guard_threshold", 0.0), ("guard_threshold", -3.0), ("guard_threshold", 1.5),
         ("guard_threshold", math.nan), ("window_hi", 50),
+        ("margin", 0.0), ("margin", math.nan), ("margin", math.inf),
     ])
     def test_config_rejects_out_of_range(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -403,6 +457,12 @@ class TestSampleGrid:
         assert len(g) == 10
         assert g[0] == 1 and g[-1] == 100_000
 
+    def test_support_as_list(self):
+        support = list(range(1, 100, 7))
+        assert sample_grid(5, 50, 64, support=support) == sample_grid(
+            5, 50, 64, support=tuple(support))
+
     def test_empty_window(self):
-        with pytest.raises(InvalidWindow):
-            sample_grid(10, 10, 8)
+        for _ in range(2):
+            with pytest.raises(InvalidWindow):
+                sample_grid(10, 10, 8)

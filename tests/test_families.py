@@ -32,7 +32,7 @@ from demorgan.families import (
     make_walk_family,
     p_series,
 )
-from demorgan.iterlog import min_domain
+from demorgan.iterlog import INDEX_LIMIT, iterlog_product, min_domain
 from demorgan.convergence import RatioSpec
 from demorgan.walk import WalkFate, rw_classify
 
@@ -259,6 +259,25 @@ class TestWalkFamilies:
         fam = alpha_threshold(depth, c)
         a = fam.drift.alpha_at(n)  # raises InvalidDrift on violation
         assert 0.0 < a < min(fam.drift.C, 0.5 * n)
+
+    @given(depth=st.integers(1, 3), c=st.sampled_from(RATE_GRID), u=st.floats(0.0, 1.0))
+    @settings(max_examples=400)
+    def test_threshold_drift_matches_per_level_formula(self, depth, c, u):
+        # Reference: one validated iterlog_product per level.
+        n = min(max(1, int(2 ** (53 * u))), INDEX_LIMIT - 1)
+        m = max(n, min_domain(depth + 1))
+        value = 1.0
+        for k in range(1, depth):
+            value += 1.0 / iterlog_product(k, m)
+        value += c / iterlog_product(depth, m)
+        expected = min(0.25 * value, 0.999 * min(1.0, 0.5 * n))
+        assert alpha_threshold(depth, c).drift.alpha(n).hex() == expected.hex()
+
+    def test_threshold_drift_rejects_unconvertible_index(self):
+        alpha = alpha_threshold(2, 0.5).drift.alpha
+        for n in (INDEX_LIMIT, 10**7 + 0.5):
+            with pytest.raises(DomainError):
+                alpha(n)
 
     def test_registry(self):
         fam = make_walk_family("alpha-const", a=0.3)
