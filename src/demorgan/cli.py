@@ -37,14 +37,7 @@ from .families import (
     make_series_family,
     make_walk_family,
 )
-from .iterlog import (
-    K_MAX_NUMERIC,
-    expansion_increment,
-    iterlog,
-    iterlog_product,
-    min_domain,
-    zeta_weight,
-)
+from .iterlog import expansion_increment, iterlog, iterlog_product, min_domain, zeta_weight
 from .report import (
     Report,
     classification_to_dict,
@@ -84,20 +77,21 @@ def _first_index(text: str) -> int:
 
 
 def _add_classify_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--K-start", type=int, default=1, dest="k_start",
-                   help="depth at which the adaptive test starts (default 1)")
-    p.add_argument("--K-max", type=int, default=K_MAX_NUMERIC, dest="k_max",
-                   help=f"deepest level the adaptive test may reach (default {K_MAX_NUMERIC})")
-    p.add_argument("--margin", type=float, default=0.2,
-                   help="decision margin around the critical value (default 0.2)")
-    p.add_argument("--band", type=float, default=0.5,
-                   help="near-critical band that allows escalation (default 0.5)")
-    p.add_argument("--window-lo", type=int, default=100,
-                   help="sampling window floor (default 100)")
-    p.add_argument("--window-hi", type=int, default=10_000_000,
-                   help="sampling window ceiling (default 1e7)")
-    p.add_argument("--samples", type=int, default=64,
-                   help="sample count on the geometric grid (default 64)")
+    defaults = ClassifyConfig()
+    p.add_argument("--K-start", type=int, default=defaults.k_start, dest="k_start",
+                   help="depth at which the adaptive test starts (default %(default)s)")
+    p.add_argument("--K-max", type=int, default=defaults.k_max, dest="k_max",
+                   help="deepest level the adaptive test may reach (default %(default)s)")
+    p.add_argument("--margin", type=float, default=defaults.margin,
+                   help="decision margin around the critical value (default %(default)s)")
+    p.add_argument("--band", type=float, default=defaults.near_one_band,
+                   help="near-critical band that allows escalation (default %(default)s)")
+    p.add_argument("--window-lo", type=int, default=defaults.window_lo,
+                   help="sampling window floor (default %(default)s)")
+    p.add_argument("--window-hi", type=int, default=defaults.window_hi,
+                   help="sampling window ceiling (default %(default)s)")
+    p.add_argument("--samples", type=int, default=defaults.samples,
+                   help="sample count on the geometric grid (default %(default)s)")
     p.add_argument("--no-guard", action="store_true",
                    help="disable the next-level consistency guard")
 

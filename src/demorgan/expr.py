@@ -8,11 +8,12 @@ Grammar (EBNF, ``^`` right-associative):
     base   := number | "n" | "(" expr ")" | func "(" args ")"
     func   := "ln" | "exp" | "iterlog"
 
-``iterlog`` takes a literal integer depth as its first argument:
-``iterlog(2, n)`` is ln(ln(n)).  In this language ``iterlog(k, x)`` is
-defined only where the result is strictly positive, since expressions feed
-series terms and weights that must stay positive; evaluation outside that
-region raises :class:`~demorgan.errors.EvalError`.
+A number is a run of decimal digits with an optional fraction and exponent
+(``2``, ``0.5``, ``1e-3``).  ``iterlog`` takes a literal integer depth as its
+first argument: ``iterlog(2, n)`` is ln(ln(n)).  In this language
+``iterlog(k, x)`` is defined only where the result is strictly positive,
+since expressions feed series terms and weights that must stay positive;
+evaluation outside that region raises :class:`~demorgan.errors.EvalError`.
 
 Every input either parses or raises :class:`ExpressionSyntaxError` with a
 position; nothing panics, including pathologically nested input.
@@ -21,76 +22,37 @@ position; nothing panics, including pathologically nested input.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Union
 
 from .errors import DomainError, EvalError, ExpressionSyntaxError
 from .iterlog import K_MAX_NUMERIC, iterlog
 
-_MAX_DEPTH = 200
+# Deepest nesting of groups, function arguments and ``^`` operands.
+_MAX_DEPTH = 99
 
 _FUNCTIONS = ("ln", "exp", "iterlog")
 
+# Binding strength of each binary operator; only ``^`` is right-associative.
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # num ident op lparen rparen comma end
-    text: str
-    pos: int
+# ``\d`` is exactly what int() and float() accept, so every number token converts.
+_TOKEN = re.compile(r"""\s*(?:
+    (?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)
+  | (?P<ident>[^\W\d]\w*)
+  | (?P<op>[-+*/^]) | (?P<lparen>\() | (?P<rparen>\)) | (?P<comma>,)
+  | (?P<end>\Z) | (?P<bad>.))""", re.VERBOSE | re.DOTALL)
 
 
-def _tokenize(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == ".":
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            toks.append(_Tok("num", text[i:j], i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Tok("ident", text[i:j], i))
-            i = j
-            continue
-        if c in "+-*/^":
-            toks.append(_Tok("op", c, i))
-            i += 1
-            continue
-        if c == "(":
-            toks.append(_Tok("lparen", c, i))
-            i += 1
-            continue
-        if c == ")":
-            toks.append(_Tok("rparen", c, i))
-            i += 1
-            continue
-        if c == ",":
-            toks.append(_Tok("comma", c, i))
-            i += 1
-            continue
-        raise ExpressionSyntaxError(f"unexpected character {c!r}", i)
-    toks.append(_Tok("end", "", n))
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) of every token, ending with an ``end`` token."""
+    toks = []
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ExpressionSyntaxError(f"unexpected character {m[kind]!r}", m.start(kind))
+        toks.append((kind, m[kind], m.start(kind)))
     return toks
 
 
@@ -100,120 +62,84 @@ Node = Union[tuple]
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.toks = _tokenize(text)
         self.i = 0
-        self.depth = 0
 
-    def peek(self) -> _Tok:
-        return self.toks[self.i]
-
-    def next(self) -> _Tok:
-        t = self.toks[self.i]
+    def next(self) -> tuple[str, str, int]:
         self.i += 1
-        return t
+        return self.toks[self.i - 1]
 
-    def expect(self, kind: str, what: str) -> _Tok:
-        t = self.peek()
-        if t.kind != kind:
-            raise ExpressionSyntaxError(
-                f"unexpected {t.kind or 'end'} {t.text!r}", t.pos, expected=what
-            )
-        return self.next()
-
-    def _enter(self, pos: int) -> None:
-        self.depth += 1
-        if self.depth > _MAX_DEPTH:
-            raise ExpressionSyntaxError("expression nested too deeply", pos)
+    def expect(self, kind: str, what: str) -> None:
+        t_kind, text, pos = self.next()
+        if t_kind != kind:
+            raise ExpressionSyntaxError(f"unexpected {t_kind} {text!r}", pos, expected=what)
 
     def parse(self) -> Node:
-        node = self.expr()
-        t = self.peek()
-        if t.kind != "end":
+        node = self.expr(1, 0)
+        kind, text, pos = self.toks[self.i]
+        if kind != "end":
             raise ExpressionSyntaxError(
-                f"trailing input {t.text!r}", t.pos, expected="end of expression"
+                f"trailing input {text!r}", pos, expected="end of expression"
             )
         return node
 
-    def expr(self) -> Node:
-        self._enter(self.peek().pos)
-        try:
-            node = self.term()
-            while self.peek().kind == "op" and self.peek().text in "+-":
-                op = self.next().text
-                node = ("bin", op, node, self.term())
-            return node
-        finally:
-            self.depth -= 1
-
-    def term(self) -> Node:
-        node = self.factor()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.next().text
-            node = ("bin", op, node, self.factor())
+    def expr(self, min_prec: int, depth: int) -> Node:
+        """Operands joined by operators that bind at least ``min_prec``."""
+        if depth > _MAX_DEPTH:
+            raise ExpressionSyntaxError("expression nested too deeply", self.toks[self.i][2])
+        node = self.base(depth)
+        while self.toks[self.i][0] == "op" and _PRECEDENCE[self.toks[self.i][1]] >= min_prec:
+            op = self.next()[1]
+            prec = _PRECEDENCE[op]
+            # A left-associative chain loops here; only a ``^`` chain nests.
+            rhs =self.expr(prec, depth + 1) if op == "^" else self.expr(prec + 1, depth)
+            node = ("bin", op, node, rhs)
         return node
 
-    def factor(self) -> Node:
-        self._enter(self.peek().pos)
-        try:
-            node = self.base()
-            if self.peek().kind == "op" and self.peek().text == "^":
-                self.next()
-                node = ("bin", "^", node, self.factor())
-            return node
-        finally:
-            self.depth -= 1
-
-    def base(self) -> Node:
-        t = self.peek()
-        if t.kind == "num":
-            self.next()
-            try:
-                return ("num", float(t.text))
-            except ValueError:
-                raise ExpressionSyntaxError(f"bad number {t.text!r}", t.pos)
-        if t.kind == "ident":
-            self.next()
-            if t.text == "n":
+    def base(self, depth: int) -> Node:
+        kind, text, pos = self.next()
+        if kind == "num":
+            return ("num", float(text))
+        if kind == "ident":
+            if text == "n":
                 return ("n",)
-            if t.text in _FUNCTIONS:
-                return self.call(t)
+            if text in _FUNCTIONS:
+                return self.call(text, depth)
             raise ExpressionSyntaxError(
-                f"unknown name {t.text!r}", t.pos, expected="'n', 'ln', 'exp' or 'iterlog'"
+                f"unknown name {text!r}", pos, expected="'n', 'ln', 'exp' or 'iterlog'"
             )
-        if t.kind == "lparen":
-            self.next()
-            node = self.expr()
+        if kind == "lparen":
+            node = self.expr(1, depth + 1)
             self.expect("rparen", "')'")
             return node
         raise ExpressionSyntaxError(
-            f"unexpected {t.kind or 'end'} {t.text!r}", t.pos,
-            expected="number, 'n', '(' or a function",
+            f"unexpected {kind} {text!r}", pos, expected="number, 'n', '(' or a function",
         )
 
-    def call(self, fn: _Tok) -> Node:
+    def call(self, name: str, depth: int) -> Node:
         self.expect("lparen", "'(' after function name")
-        if fn.text == "iterlog":
-            k_tok = self.peek()
-            if k_tok.kind != "num" or any(ch in k_tok.text for ch in ".eE"):
+        if name != "iterlog":
+            node = ("call", name, self.expr(1, depth + 1))
+        else:
+            kind, text, pos = self.next()
+            if kind != "num" or not text.isdecimal():
                 raise ExpressionSyntaxError(
-                    "iterlog needs a literal integer depth", k_tok.pos,
+                    "iterlog needs a literal integer depth", pos,
                     expected="integer between 1 and 4",
                 )
-            self.next()
-            k = int(k_tok.text)
+            try:
+                k = int(text)
+            except ValueError:  # more digits than int() converts
+                k = math.inf
             if not 1 <= k <= K_MAX_NUMERIC:
                 raise ExpressionSyntaxError(
-                    f"iterlog depth {k} out of range", k_tok.pos,
+                    f"iterlog depth {k} out of range", pos,
                     expected=f"integer between 1 and {K_MAX_NUMERIC}",
                 )
             self.expect("comma", "',' between iterlog arguments")
-            arg = self.expr()
-            self.expect("rparen", "')'")
-            return ("call", "iterlog", k, arg)
-        arg = self.expr()
+            node = ("call", "iterlog", k, self.expr(1, depth + 1))
         self.expect("rparen", "')'")
-        return ("call", fn.text, arg)
+        return node
 
 
 def _eval(node: Node, n: float) -> float:
@@ -226,51 +152,44 @@ def _eval(node: Node, n: float) -> float:
         _, op, lhs, rhs = node
         a = _eval(lhs, n)
         b = _eval(rhs, n)
+        if op == "+":
+            return a + b
+        if op == "-":
+            return a - b
+        if op == "*":
+            return a * b
+        if op == "/":
+            if b == 0.0:
+                raise EvalError(f"division by zero at n={n}")
+            return a / b
         try:
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            if op == "*":
-                return a * b
-            if op == "/":
-                if b == 0.0:
-                    raise EvalError(f"division by zero at n={n}")
-                return a / b
-            if op == "^":
-                return math.pow(a, b)
+            return math.pow(a, b)
         except OverflowError:
-            raise EvalError(f"overflow evaluating {op!r} at n={n}") from None
+            raise EvalError(f"overflow evaluating '^' at n={n}") from None
         except ValueError as exc:
-            raise EvalError(f"domain error evaluating {op!r} at n={n}: {exc}") from None
-        raise AssertionError(op)
-    if kind == "call":
-        name = node[1]
-        if name == "iterlog":
-            _, _, k, arg = node
-            x = _eval(arg, n)
-            try:
-                v = iterlog(k, x)
-            except DomainError as exc:
-                raise EvalError(str(exc)) from None
-            if v <= 0.0:
-                raise EvalError(
-                    f"iterlog({k}, {x}) = {v} is not positive; "
-                    f"outside this language's domain"
-                )
-            return v
-        x = _eval(node[2], n)
+            raise EvalError(f"domain error evaluating '^' at n={n}: {exc}") from None
+    name = node[1]
+    if name == "iterlog":
+        _, _, k, arg = node
+        x = _eval(arg, n)
         try:
-            if name == "ln":
-                if x <= 0.0:
-                    raise EvalError(f"ln of non-positive value {x} at n={n}")
-                return math.log(x)
-            if name == "exp":
-                return math.exp(x)
-        except OverflowError:
-            raise EvalError(f"overflow in {name}({x})") from None
-        raise AssertionError(name)
-    raise AssertionError(node)
+            v = iterlog(k, x)
+        except DomainError as exc:
+            raise EvalError(str(exc)) from None
+        if v <= 0.0:
+            raise EvalError(
+                f"iterlog({k}, {x}) = {v} is not positive; outside this language's domain"
+            )
+        return v
+    x = _eval(node[2], n)
+    if name == "ln":
+        if x <= 0.0:
+            raise EvalError(f"ln of non-positive value {x} at n={n}")
+        return math.log(x)
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise EvalError(f"overflow in exp({x})") from None
 
 
 @dataclass(frozen=True)
@@ -282,7 +201,7 @@ class Expression:
 
     def __call__(self, n: float) -> float:
         v = _eval(self.ast, float(n))
-        if isinstance(v, float) and (math.isnan(v) or math.isinf(v)):
+        if not math.isfinite(v):
             raise EvalError(f"{self.text!r} is not finite at n={n}")
         return v
 

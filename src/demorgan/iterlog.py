@@ -114,37 +114,12 @@ def expansion_increment(k: int, n: int) -> float:
     return 1.0 / (float(n) * iterlog_product(k - 1, n))
 
 
-_MIN_DOMAIN_CACHE: dict[int, int] = {}
-
-
-def _positive_chain(K: int, n: int) -> bool:
-    """True when ln_(K)(n) is defined and strictly positive."""
-    v = float(n)
-    for _ in range(K):
-        if v <= 0.0:
-            return False
-        v = math.log(v)
-    return v > 0.0
+# Smallest integer n with ln_(K)(n) > 0, for K = 1..K_MAX_NUMERIC: one more than
+# the floor of the towers 1, e, e^e and e^e^e.
+_MIN_DOMAIN = (2, 3, 16, 3_814_280)
 
 
 def min_domain(K: int) -> int:
-    """Smallest integer n with ln_(K)(n) > 0.
-
-    Found by direct search around the tower e^e^...^e (K-1 exponentials)
-    rather than by formula inversion, so representability edges cannot
-    introduce an off-by-one.
-    """
+    """Smallest integer n with ln_(K)(n) > 0: the integer just above the tower e^e^...^e."""
     _check_level(K)
-    cached = _MIN_DOMAIN_CACHE.get(K)
-    if cached is not None:
-        return cached
-    tower = 1.0
-    for _ in range(K - 1):
-        tower = math.exp(tower)
-    cand = int(math.floor(tower)) + 1
-    while cand > 2 and _positive_chain(K, cand - 1):
-        cand -= 1
-    while not _positive_chain(K, cand):
-        cand += 1
-    _MIN_DOMAIN_CACHE[K] = cand
-    return cand
+    return _MIN_DOMAIN[K - 1]

@@ -4,12 +4,15 @@ A report is a plain JSON-compatible document: the echoed input (enough to
 re-run the exact analysis), the verdict or simulation results with their
 evidence, the tool version, and a timing field.  Two runs of the same
 analysis produce byte-identical JSON except for ``timing_ms``; numbers are
-serialized with full round-trip precision.
+serialized with full round-trip precision, and a non-finite number (an
+infinite coefficient, a NaN sample) as ``null``, since JSON has no NaN or
+Infinity.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
@@ -49,7 +52,19 @@ class Report:
         return doc
 
     def to_json(self, indent: int | None = 2, include_timing: bool = True) -> str:
-        return json.dumps(self.to_dict(include_timing=include_timing), indent=indent)
+        doc = _finite_or_null(self.to_dict(include_timing=include_timing))
+        return json.dumps(doc, indent=indent, allow_nan=False)
+
+
+def _finite_or_null(value: Any) -> Any:
+    """``value`` with every non-finite float, however deeply nested, made None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
 
 
 def verdict_to_dict(v: Verdict) -> dict[str, Any]:

@@ -19,6 +19,13 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+def strict_json(text):
+    """Parse ``text`` as RFC 8259 JSON, which has no NaN or Infinity."""
+    def reject(constant):
+        raise AssertionError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
 class TestClassifySeries:
     def test_family_decisive(self, capsys):
         code, doc = run_json(capsys, "classify-series", "--family", "p-series", "--p", "2")
@@ -103,6 +110,23 @@ class TestClassifySeries:
         assert code == 2
         assert doc["result"]["decision"] == "inconclusive"
         assert doc["result"]["dropped_samples"] > 0
+
+    def test_nan_samples_are_written_as_null(self, capsys):
+        # exp(n) overflows on most of the grid: those samples are NaN.
+        code, out, err = run(capsys, "classify-series", "--a-n", "1/exp(n)",
+                             "--format", "json", "--no-timing")
+        result = strict_json(out)["result"]
+        assert code == 0 and result["dropped_samples"] == 53
+        assert [value for _, value, _ in result["samples"]].count(None) == 53
+
+    def test_infinite_coefficients_are_written_as_null(self, capsys):
+        argv = ("classify-series", "--delta-n", "1e300*n", "--no-timing")
+        code, out, err = run(capsys, *argv, "--format", "json")
+        result = strict_json(out)["result"]
+        assert code == 0 and result["s_min"] is None and result["s_max"] is None
+        assert all(step["s_min"] is None for step in result["trace"])
+        code, out, err = run(capsys, *argv)
+        assert "tail coefficient range: [inf, inf]" in out
 
     @pytest.mark.parametrize("source", [
         ("--family", "p-series", "--p", "2"), ("--table", "TABLE"),

@@ -54,8 +54,9 @@ class TestRuntimeErrors:
 
     def test_division_by_zero(self):
         f = parse_expression("1/(n-5)")
-        with pytest.raises(EvalError):
+        with pytest.raises(EvalError) as exc:
             f(5)
+        assert str(exc.value) == "division by zero at n=5.0"
 
     def test_ln_of_non_positive(self):
         with pytest.raises(EvalError):
@@ -105,6 +106,34 @@ class TestParseErrors:
         with pytest.raises(ExpressionSyntaxError):
             parse_expression("(" * 500 + "n" + ")" * 500)
 
+    @pytest.mark.parametrize("unit", ["(", "ln("])
+    def test_nesting_limit(self, unit):
+        parse_expression(unit * 99 + "n" + ")" * 99)
+        with pytest.raises(ExpressionSyntaxError, match="nested too deeply") as exc:
+            parse_expression(unit * 100 + "n" + ")" * 100)
+        assert exc.value.position == 100 * len(unit)
+
+    def test_power_chain_limit(self):
+        # "^" is right-associative, so each operand of a chain nests one deeper.
+        parse_expression("n^" * 99 + "n")
+        with pytest.raises(ExpressionSyntaxError, match="nested too deeply"):
+            parse_expression("n^" * 100 + "n")
+
+    def test_non_ascii_digit_as_iterlog_depth(self):
+        # "²" is a digit to str.isdigit() but not to int(); it must not leak a
+        # bare ValueError.
+        with pytest.raises(ExpressionSyntaxError) as exc:
+            parse_expression("iterlog(²,n)")
+        assert str(exc.value) == ("iterlog needs a literal integer depth at position 8 "
+                                  "(expected integer between 1 and 4)")
+
+    def test_non_ascii_digits(self):
+        # Decimal digits of any script are numbers; other numerals are not.
+        assert parse_expression("٣")(1) == 3.0
+        assert parse_expression("iterlog(٣,n)").ast == ("call", "iterlog", 3, ("n",))
+        with pytest.raises(ExpressionSyntaxError):
+            parse_expression("²")
+
     def test_missing_iterlog_comma(self):
         with pytest.raises(ExpressionSyntaxError):
             parse_expression("iterlog(2 n)")
@@ -138,3 +167,108 @@ class TestTotality:
             f(3)
         except EvalError:
             pass
+
+
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
+
+_LEAVES = st.one_of(
+    st.just(("n",)),
+    st.integers(0, 20).map(lambda k: ("num", float(k))),
+    st.floats(0.0, 1e300, allow_nan=False).map(lambda x: ("num", abs(x))),
+)
+
+
+def _extend(children):
+    return st.one_of(
+        st.tuples(st.just("bin"), st.sampled_from(sorted(_PREC)), children, children),
+        st.tuples(st.just("call"), st.sampled_from(["ln", "exp"]), children),
+        st.tuples(st.just("call"), st.just("iterlog"), st.integers(1, 4), children),
+    )
+
+
+_ASTS = st.recursive(_LEAVES, _extend, max_leaves=12)
+
+
+def _show(node):
+    """Print an AST with the fewest parentheses the precedence table allows."""
+    if node[0] == "num":
+        return repr(node[1])
+    if node[0] == "n":
+        return "n"
+    if node[0] == "call":
+        if node[1] == "iterlog":
+            return f"iterlog({node[2]}, {_show(node[3])})"
+        return f"{node[1]}({_show(node[2])})"
+    _, op, lhs, rhs = node
+    right_assoc = op == "^"
+
+    def operand(child, tie_needs_parens):
+        text = _show(child)
+        prec = _PREC[child[1]] if child[0] == "bin" else 4
+        if prec < _PREC[op] or (prec == _PREC[op] and tie_needs_parens):
+            return f"({text})"
+        return text
+
+    return f"{operand(lhs, right_assoc)} {op} {operand(rhs, not right_assoc)}"
+
+
+def _reference(node, n):
+    """An evaluator written apart from the module, raising EvalError where it must."""
+    kind = node[0]
+    if kind == "num":
+        return node[1]
+    if kind == "n":
+        return n
+    if kind == "bin":
+        op, a, b = node[1], _reference(node[2], n), _reference(node[3], n)
+        if op == "+":
+            return a + b
+        if op == "-":
+            return a - b
+        if op == "*":
+            return a * b
+        if op == "/":
+            if b == 0.0:
+                raise EvalError("division by zero")
+            return a / b
+        try:
+            return math.pow(a, b)
+        except (OverflowError, ValueError):
+            raise EvalError("pow") from None
+    if node[1] == "iterlog":
+        v = _reference(node[3], n)
+        if not math.isfinite(v):
+            raise EvalError("iterlog of a non-finite value")
+        for _ in range(node[2]):
+            if v <= 0.0:
+                raise EvalError("iterlog left its domain")
+            v = math.log(v)
+        if v <= 0.0:
+            raise EvalError("iterlog is not positive")
+        return v
+    x = _reference(node[2], n)
+    if node[1] == "ln":
+        if x <= 0.0:
+            raise EvalError("ln of a non-positive value")
+        return math.log(x)
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise EvalError("exp overflow") from None
+
+
+def _outcome(f, n):
+    try:
+        v = f(n)
+    except EvalError:
+        return "EvalError"
+    return "EvalError" if not math.isfinite(v) else float.hex(v)
+
+
+class TestRoundTrip:
+    @given(_ASTS, st.sampled_from([1, 2, 3, 13, 17, 10**6]))
+    @settings(max_examples=400, deadline=None)
+    def test_printed_ast_parses_back_and_evaluates_alike(self, ast, n):
+        expr = parse_expression(_show(ast))
+        assert expr.ast == ast
+        assert _outcome(expr, n) == _outcome(lambda m: _reference(ast, float(m)), n)
