@@ -26,9 +26,11 @@ is consumed per step, including the forced step out of 0.  alpha is
 evaluated only at positions a path stands on, when one first does.
 
 The simulator's kernel is C, compiled with ``cc`` on first use and cached in
-the package ``__pycache__`` or the user cache directory; it runs each path
-of a block to the horizon before the next.  Without a C compiler a numpy
-kernel that advances a block's paths together gives identical reports.
+the package ``__pycache__`` or the user cache directory; it seeds each path
+of a block and runs it to the horizon before the next.  The blocks run on
+up to one thread per usable CPU, since the kernel runs without the
+interpreter lock.  Without a C compiler ``simulate`` raises OSError; the
+classifiers never need one.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import ctypes
 import functools
 import math
 import os
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -56,10 +59,14 @@ _MASK64 = (1 << 64) - 1
 _U53 = 1 << 53
 # Paths per block, sharing one set of per-path state arrays; read at call time.
 _CHUNK_PATHS = 4096
+# Threads per simulation, at most one per usable CPU; read at call time.
+_THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
-# Path-major walk kernel: runs paths i..n-1 of a block to the horizon, each
-# before the next, and returns the first path that stands on position len
-# (no threshold yet), or n.  The per-path state arrays let it resume there.
+# Path-major walk kernel: runs paths i..n-1 of the block whose first path is
+# lo to the horizon, each before the next, and returns the first path that
+# stands on position len (no threshold yet), or n.  The per-path state arrays
+# let it resume there; a path that has taken no step is (re)seeded first.
 _KERNEL_SOURCE = f"""
 #include <stdint.h>
 static uint64_t mix(uint64_t z) {{
@@ -67,11 +74,12 @@ static uint64_t mix(uint64_t z) {{
     z = (z ^ (z >> 27)) * {_MIX_M2:#x}ULL;
     return z ^ (z >> 31);
 }}
-int64_t walk(int64_t i, int64_t n, int64_t horizon, const uint64_t *thr, int64_t len,
+int64_t walk(uint64_t master, int64_t lo, int64_t i, int64_t n, int64_t horizon,
+             const uint64_t *thr, int64_t len,
              uint64_t *state, int64_t *pos, int64_t *done, int64_t *first, int64_t *top) {{
     for (; i < n; i++) {{
-        uint64_t s = state[i];
         int64_t p = pos[i], t = done[i], f = first[i], m = top[i];
+        uint64_t s = t ? state[i] : mix(master + (uint64_t)(lo + i + 1) * {GAMMA:#x}ULL);
         while (t < horizon && p < len) {{
             s += {GAMMA:#x}ULL;
             p += (mix(s) >> 11) < thr[p] ? 1 : -1;
@@ -229,15 +237,17 @@ def _build_kernel(source: str):
     The file is named by a CRC of the source, the flags and the machine type,
     in the package ``__pycache__`` or else the user cache directory; a
     directory is used only if this user owns it and no one else may write to
-    it, so no other user can plant the library.  None when no directory
-    yields a library, for instance when there is no C compiler.
+    it, so no other user can plant the library.  Raises OSError naming the
+    compiler when no directory yields a library, for instance when there is
+    no ``cc``.
     """
     if os.name != "posix":
-        return None
+        raise OSError("simulate needs a C compiler: the walk kernel is built on POSIX only")
     key = "\0".join([source, *_KERNEL_FLAGS, os.uname().machine])
     name = f"walk-{binascii.crc32(key.encode()):08x}.so"
     xdg = os.environ.get("XDG_CACHE_HOME", "")
     user = (Path(xdg) if os.path.isabs(xdg) else Path.home() / ".cache") / "demorgan"
+    reason = "no private cache directory"
     for path in (_PACKAGE_CACHE / name, user / name):
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -247,152 +257,154 @@ def _build_kernel(source: str):
             if not path.exists():
                 _compile(source, path)
             kernel = ctypes.CDLL(str(path)).walk
-        except OSError:
+        except OSError as exc:
+            reason = str(exc)
             continue
         # Raw addresses, not numpy's checked pointer type, whose checks cost
         # several times the call itself; the kernel returns to Python once
         # per reached position.
-        i64, ptr = ctypes.c_int64, ctypes.c_void_p
-        kernel.argtypes = [i64, i64, i64, ptr, i64, ptr, ptr, ptr, ptr, ptr]
+        u64, i64, ptr = ctypes.c_uint64, ctypes.c_int64, ctypes.c_void_p
+        kernel.argtypes = [u64, i64, i64, i64, i64, ptr, i64, ptr, ptr, ptr, ptr, ptr]
         kernel.restype = i64
         return kernel
-    return None
+    raise OSError(f"simulate needs a C compiler: cc could not build the walk kernel ({reason})")
 
 
 @functools.cache
 def _load_kernel():
-    """The compiled walk kernel, or None to use the numpy one."""
+    """The compiled walk kernel, built on first use; see ``_build_kernel``."""
     return _build_kernel(_KERNEL_SOURCE)
 
 
 class _Thresholds:
-    """Up-step thresholds p_up(s) * 2**53 for positions 0..len(view) - 1.
+    """Up-step thresholds p_up(s) * 2**53 for positions 0..length - 1.
 
     Paths move by one per step, so a path first needs a missing threshold at
-    the step it first stands on len(view); ``grow`` then adds that position.
-    ``address`` locates the backing buffer for the compiled kernel.
+    the step it first stands on ``length``; ``grow`` then adds that position
+    unless another thread already has.  ``table`` is the (address, length)
+    pair a kernel reads, replaced whole so that no thread pairs one buffer's
+    address with another's length.  A buffer that growth replaces stays in
+    ``_buffers`` for the life of the table, since a kernel may still read it.
+    ``failure`` holds the exception of the first alpha that fails, which caps
+    the table at that position.
     """
 
     def __init__(self, spec: DriftSpec):
         self._spec = spec
-        self._buf = np.empty(64, dtype=np.uint64)
-        self._buf[0] = _U53  # forced step 0 -> 1
-        self.view = self._buf[:1]
-        self.address = self._buf.ctypes.data
+        self._lock = threading.Lock()
+        self._buffers = [np.empty(64, dtype=np.uint64)]
+        self._buffers[0][0] = _U53  # forced step 0 -> 1
+        self.table = (self._buffers[0].ctypes.data, 1)
+        self.failure: Exception | None = None
 
-    def grow(self) -> None:
-        """Evaluate alpha at len(view) and add its threshold.
+    def grow(self, length: int) -> tuple[int, int]:
+        """The table once position ``length`` is added, if it was missing.
 
-        An alpha out of range or failing to evaluate there raises
-        InvalidDrift without the step, which the caller appends.
+        The length comes back unchanged only when alpha has failed there.
         """
-        s = len(self.view)
+        with self._lock:
+            if self.table[1] == length and self.failure is None:
+                try:
+                    self._add(length)
+                except Exception as exc:  # raised by simulate once every block is done
+                    self.failure = exc
+            return self.table
+
+    def _add(self, s: int) -> None:
         try:
             a = self._spec.alpha_at(s)
         except EvalError as exc:
             raise InvalidDrift(f"alpha({s}) fails to evaluate: {exc}") from exc
-        if s == len(self._buf):
-            self._buf = np.concatenate([self._buf, np.empty_like(self._buf)])
-            self.address = self._buf.ctypes.data
-        self._buf[s] = int((0.5 + a / s) * _U53)
-        self.view = self._buf[:s + 1]
+        buf = self._buffers[-1]
+        if s == len(buf):
+            buf = np.concatenate([buf, np.empty_like(buf)])
+            self._buffers.append(buf)
+        buf[s] = int((0.5 + a / s) * _U53)
+        self.table = (buf.ctypes.data, s + 1)
 
 
-def _simulate_chunk(
-    kernel, seeds: np.ndarray, horizon: int, table: _Thresholds
-) -> tuple[int, int, int, np.ndarray]:
-    """(returned_count, first_return_sum, max_excursion, final_positions).
+def _run_block(
+    kernel, table: _Thresholds, seed: int, lo: int, n: int, horizon: int
+) -> tuple[int, int, int, np.ndarray, int]:
+    """(returned_count, first_return_sum, max_excursion, final_positions,
+    fail_step) of paths lo..lo + n - 1.
 
-    When alpha fails at the table's end s*, the block runs on against the
-    capped table, so the error names the earliest step at which any of its
-    paths stands on s*, as the step-major numpy kernel finds it.
+    Once alpha has failed at the table's end s*, the block runs on against
+    the capped table; fail_step is the earliest step at which one of its
+    paths stands on s*, or horizon + 1 if none does.
     """
-    n = seeds.shape[0]
-    # Fresh contiguous arrays of the kernel's types, alive until it is done.
-    arrays = (np.array(seeds, dtype=np.uint64), np.ones(n, dtype=np.int64),
+    # Contiguous arrays of the kernel's types, alive until it is done; the
+    # kernel seeds ``state`` itself.
+    arrays = (np.empty(n, dtype=np.uint64), np.ones(n, dtype=np.int64),
               np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64),
               np.ones(n, dtype=np.int64))
     _, pos, done, first, top = arrays
     addresses = [a.ctypes.data for a in arrays]
-    failure, fail_step, i = None, horizon, 0
-    while (i := kernel(i, n, horizon, table.address, len(table.view), *addresses)) < n:
-        if failure is None:
-            try:
-                table.grow()
-                continue
-            except InvalidDrift as exc:
-                failure = exc
-        fail_step = min(fail_step, int(done[i]) + 1)
-        i += 1
-    if failure is not None:
-        raise InvalidDrift(f"{failure} at step {fail_step}") from failure
-    return int(np.count_nonzero(first)), int(first.sum()), int(top.max()), pos
-
-
-def _numpy_chunk(
-    seeds: np.ndarray, horizon: int, table: _Thresholds
-) -> tuple[int, int, int, np.ndarray]:
-    """Step-major fallback for ``_simulate_chunk`` when no C compiler is found."""
-    n = seeds.shape[0]
-    state = seeds.copy()
-    pos = np.ones(n, dtype=np.int64)
-    returned = np.zeros(n, dtype=bool)
-    first_ret = np.zeros(n, dtype=np.int64)
-    max_exc = np.ones(n, dtype=np.int64)
-    gamma = np.uint64(GAMMA)
-    m1 = np.uint64(_MIX_M1)
-    m2 = np.uint64(_MIX_M2)
-    view = table.view
-    for t in range(1, horizon + 1):
-        state += gamma
-        z = state.copy()
-        z ^= z >> np.uint64(30)
-        z *= m1
-        z ^= z >> np.uint64(27)
-        z *= m2
-        z ^= z >> np.uint64(31)
-        try:
-            thresholds = view[pos]
-        except IndexError:
-            try:
-                table.grow()
-            except InvalidDrift as exc:
-                raise InvalidDrift(f"{exc} at step {t}") from exc
-            view = table.view
-            thresholds = view[pos]
-        up = (z >> np.uint64(11)) < thresholds
-        pos += np.where(up, 1, -1)
-        new = (pos == 0) & ~returned
-        if new.any():
-            first_ret[new] = t
-            returned |= new
-        np.maximum(max_exc, pos, out=max_exc)
-    return int(returned.sum()), int(first_ret.sum()), int(max_exc.max()), pos
+    fail_step, i = horizon + 1, 0
+    address, length = table.table
+    while (i := kernel(seed, lo, i, n, horizon, address, length, *addresses)) < n:
+        address, grown = table.grow(length)
+        if grown == length:
+            fail_step = min(fail_step, int(done[i]) + 1)
+            i += 1
+        length = grown
+    return int(np.count_nonzero(first)), int(first.sum()), int(top.max()), pos, fail_step
 
 
 def simulate(spec: DriftSpec, seed: int, horizon: int, n_paths: int) -> SimulationReport:
     """Simulate n_paths independent trajectories from position 1.
 
-    Bit-identical output for identical (seed, horizon, n_paths): the paths
-    run in blocks of ``_CHUNK_PATHS``, which only partitions the path set,
-    and every aggregate is an order-insensitive sum/max/count over paths.
-    Each block runs in a compiled C kernel, path after path, which the
-    per-path streams allow; it is built with ``cc`` on first use and cached
-    on disk.  Without a C compiler a numpy kernel that advances a block's
-    paths together gives the same reports, more slowly.
-    alpha is evaluated only at the positions paths stand on, once each, in
-    a table shared by all blocks; an alpha that is out of range or fails to
-    evaluate there raises InvalidDrift naming the position and the step.
+    Bit-identical output for identical (seed, horizon, n_paths), whatever
+    the partition and the thread count: the paths run in blocks of at most
+    ``_CHUNK_PATHS``, split so that each of up to ``_THREADS`` threads gets
+    one, and the blocks' counts, sums and maxima over their paths are
+    combined in block order once every block is done.  Each block runs in a
+    compiled C kernel, path after path, which the per-path streams allow;
+    it is built with ``cc`` on first use and cached on disk, and without a C
+    compiler this raises OSError.
+    alpha is evaluated only at the positions paths stand on, once each and
+    in increasing order, in a table shared by all blocks.  When alpha fails
+    at a position s*, every block runs on to the horizon against the table
+    capped there; an alpha out of range or failing to evaluate then raises
+    InvalidDrift naming s* and the earliest step at which any path stands
+    on it, and any other exception from alpha is raised as it is.
     """
     _check_run_args(seed, horizon, n_paths)
-    table = _Thresholds(spec)
     kernel = _load_kernel()
-    seeds = np.array([path_seed(seed, i) for i in range(n_paths)], dtype=np.uint64)
-    results = []
-    for lo in range(0, n_paths, _CHUNK_PATHS):
-        block = seeds[lo:lo + _CHUNK_PATHS]
-        results.append(_numpy_chunk(block, horizon, table) if kernel is None
-                       else _simulate_chunk(kernel, block, horizon, table))
+    table = _Thresholds(spec)
+    size = min(_CHUNK_PATHS, -(-n_paths // _THREADS))
+    starts = range(0, n_paths, size)
+    results: list = [None] * len(starts)
+    crashed: list[Exception] = []
+    blocks, take = iter(range(len(starts))), threading.Lock()
+
+    def work() -> None:
+        try:
+            while True:
+                with take:
+                    k = next(blocks, None)
+                if k is None:
+                    return
+                lo = starts[k]
+                results[k] = _run_block(kernel, table, seed, lo, min(size, n_paths - lo), horizon)
+        except Exception as exc:  # raised below, after the join
+            crashed.append(exc)
+
+    threads = [threading.Thread(target=work) for _ in range(min(len(starts), _THREADS) - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        work()
+    finally:
+        for thread in threads:
+            thread.join()
+    if crashed:
+        raise crashed[0]
+    if isinstance(table.failure, InvalidDrift):
+        fail_step = min(r[4] for r in results)
+        raise InvalidDrift(f"{table.failure} at step {fail_step}") from table.failure
+    if table.failure is not None:
+        raise table.failure
 
     returned = sum(r[0] for r in results)
     first_ret_sum = sum(r[1] for r in results)
@@ -418,7 +430,7 @@ def simulate(spec: DriftSpec, seed: int, horizon: int, n_paths: int) -> Simulati
 def simulate_reference(spec: DriftSpec, seed: int, horizon: int, n_paths: int) -> SimulationReport:
     """Scalar pure-Python implementation of the exact same RNG contract.
 
-    Slow; written independently of the vectorized kernel so the two can
+    Slow; written independently of the compiled kernel so the two can
     check each other.
     """
     _check_run_args(seed, horizon, n_paths)

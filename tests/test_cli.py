@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from demorgan import walk
 from demorgan.cli import main
 
 
@@ -246,6 +247,20 @@ class TestSimulateWalk:
         code, out, err = run(capsys, "simulate-walk", "--alpha-const", "0.3",
                              "--paths", "4", "--horizon", "10", "--seed", seed)
         assert code == 1 and "seed" in err and out == ""
+
+    def test_no_compiler_exits_one(self, capsys, monkeypatch, tmp_path):
+        # Without cc, simulate-walk names the compiler and exits 1; the
+        # classifiers need none.
+        monkeypatch.setattr(walk, "_PACKAGE_CACHE", tmp_path / "package" / "__pycache__")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        monkeypatch.setenv("PATH", str(tmp_path))
+        monkeypatch.setattr(walk, "_load_kernel", lambda: walk._build_kernel(walk._KERNEL_SOURCE))
+        code, out, err = run(capsys, "simulate-walk", "--alpha-const", "0.3",
+                             "--paths", "4", "--horizon", "10")
+        assert code == 1 and out == ""
+        assert err.startswith("error: simulate needs a C compiler: cc could not build")
+        code, doc = run_json(capsys, "classify-walk", "--alpha-const", "0.3")
+        assert code == 0 and doc["result"]["decision"] == "transient"
 
     def test_text_format(self, capsys):
         code, out, err = run(capsys, "simulate-walk", "--alpha-const", "0.2",

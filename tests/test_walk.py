@@ -3,6 +3,8 @@
 import math
 import os
 import shutil
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -171,7 +173,31 @@ class TestRngContract:
         assert len(seeds) == 1000
 
 
+def _first_stands(seed, n_paths, horizon, target):
+    """Per path, the first step that starts on ``target`` under the drift
+    0.45, by a scalar replay of the RNG contract; None if no step does."""
+    mask = (1 << 64) - 1
+    steps = []
+    for i in range(n_paths):
+        state, pos, step = path_seed(seed, i), 1, None
+        for t in range(1, horizon):
+            p_up = 1.0 if pos == 0 else 0.5 + 0.45 / pos
+            state = (state + GAMMA) & mask
+            pos += 1 if (mix64(state) >> 11) < int(p_up * (1 << 53)) else -1
+            if pos == target:
+                step = t + 1
+                break
+        steps.append(step)
+    return steps
+
+
 class TestSimulation:
+    """Simulation on two threads, so that blocks grow one table concurrently."""
+
+    @pytest.fixture(autouse=True)
+    def threads(self, monkeypatch):
+        monkeypatch.setattr(walk, "_THREADS", 2)
+
     def test_vectorized_matches_scalar_reference(self):
         spec = alpha_const(0.3).drift
         fast = simulate(spec, seed=2024, horizon=400, n_paths=41)
@@ -245,24 +271,12 @@ class TestSimulation:
         ok = simulate(spec, seed=3, horizon=25, n_paths=8)
         assert ok.max_excursion <= 26
         # A scalar replay of the RNG contract under the constant 0.45 finds
-        # the first step that starts on 30: one past the first time any path
-        # reaches it.
-        mask = (1 << 64) - 1
-        first_hit = []
-        for i in range(8):
-            state, pos = path_seed(3, i), 1
-            for t in range(1, 3001):
-                p_up = 1.0 if pos == 0 else 0.5 + 0.45 / pos
-                state = (state + GAMMA) & mask
-                pos += 1 if (mix64(state) >> 11) < int(p_up * (1 << 53)) else -1
-                if pos == 30:
-                    first_hit.append(t)
-                    break
+        # the first step that starts on 30.
+        step = min(t for t in _first_stands(3, 8, 3000, 30) if t is not None)
         with pytest.raises(InvalidDrift) as info:
             simulate(spec, seed=3, horizon=3000, n_paths=8)
         assert str(info.value) == (
-            "alpha(30) = 0.9 violates 0 < alpha < min(C=0.5, n/2=15.0) "
-            f"at step {min(first_hit) + 1}"
+            f"alpha(30) = 0.9 violates 0 < alpha < min(C=0.5, n/2=15.0) at step {step}"
         )
 
     def test_evaluation_failure_at_visit_is_invalid_drift(self):
@@ -277,9 +291,10 @@ class TestSimulation:
     def test_alpha_evaluated_once_per_reached_position(self, monkeypatch, seed, horizon,
                                                        n_paths, chunk):
         # alpha is evaluated at each position a path stands on before a step,
-        # once, however the paths are split into blocks; in these runs the
-        # highest position is reached before the last step, so that is
-        # exactly 1..max_excursion.
+        # once and in increasing order, however the paths are split into
+        # blocks and threads; in these runs the highest position is reached
+        # before the last step, so that is exactly 1..max_excursion.  A short
+        # switch interval makes the threads interleave often.
         monkeypatch.setattr(walk, "_CHUNK_PATHS", chunk)
         calls = []
 
@@ -287,15 +302,20 @@ class TestSimulation:
             calls.append(n)
             return 0.3
 
-        report = simulate(DriftSpec(alpha=alpha, C=0.5), seed=seed, horizon=horizon,
-                          n_paths=n_paths)
-        assert sorted(calls) == list(range(1, report.max_excursion + 1))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            report = simulate(DriftSpec(alpha=alpha, C=0.5), seed=seed, horizon=horizon,
+                              n_paths=n_paths)
+        finally:
+            sys.setswitchinterval(interval)
+        assert calls == list(range(1, report.max_excursion + 1))
         assert report == simulate(alpha_const(0.3).drift, seed=seed, horizon=horizon,
                                   n_paths=n_paths)
 
     def test_failing_alpha_is_evaluated_once(self):
-        # The compiled kernel finishes the block to find the earliest step at
-        # 30; neither kernel asks alpha(30) a second time.
+        # Every block runs on to find the earliest step at 30; none asks
+        # alpha(30) a second time.
         calls = []
 
         def alpha(n):
@@ -304,7 +324,7 @@ class TestSimulation:
 
         with pytest.raises(InvalidDrift, match=r"^alpha\(30\) = 0\.9 .* at step \d+$"):
             simulate(DriftSpec(alpha=alpha, C=0.5), seed=3, horizon=3000, n_paths=8)
-        assert sorted(calls) == list(range(1, 31))
+        assert calls == list(range(1, 31))
 
     def test_unreached_positions_are_never_evaluated(self):
         def alpha(n):
@@ -333,12 +353,12 @@ class TestSimulation:
         assert tra.returned_fraction < rec.returned_fraction
 
 
-class TestSimulationNumpyFallback(TestSimulation):
-    """Every simulation test again, on the kernel used when no C compiler is found."""
+class TestSimulationOneThread(TestSimulation):
+    """Every simulation test again on one thread, as on a one-CPU machine."""
 
     @pytest.fixture(autouse=True)
-    def numpy_kernel(self, monkeypatch):
-        monkeypatch.setattr(walk, "_load_kernel", lambda: None)
+    def threads(self, monkeypatch):
+        monkeypatch.setattr(walk, "_THREADS", 1)
 
 
 # Drifts for the kernel comparison: a catalog constant, an expression, and two
@@ -350,6 +370,8 @@ KERNEL_DRIFTS = {
     "out-of-range": DriftSpec(alpha=lambda n: 0.45 if n < 9 else 0.9, C=0.5),
     "fails": DriftSpec(alpha=parse_expression("0.45 + 0*ln(12 - n)"), C=0.5),
 }
+# The position at which each failing drift fails; below it, it is 0.45.
+FAILS_AT = {"out-of-range": 9, "fails": 12}
 
 
 def _outcome(run, spec, seed, horizon, n_paths):
@@ -366,31 +388,112 @@ class TestKernels:
         n_paths=st.integers(min_value=1, max_value=40),
         horizon=st.integers(min_value=1, max_value=300),
         chunk=st.integers(min_value=1, max_value=50),
+        threads=st.sampled_from([1, 2]),
     )
-    @example(drift="out-of-range", seed=3, n_paths=30, horizon=300, chunk=7)
-    @example(drift="fails", seed=5, n_paths=25, horizon=300, chunk=4)
+    @example(drift="out-of-range", seed=3, n_paths=30, horizon=300, chunk=7, threads=2)
+    @example(drift="fails", seed=5, n_paths=25, horizon=300, chunk=4, threads=2)
     @settings(max_examples=60, deadline=None)
-    def test_compiled_numpy_and_reference_agree(self, drift, seed, n_paths, horizon, chunk):
+    def test_compiled_and_reference_agree(self, drift, seed, n_paths, horizon, chunk, threads):
         spec = KERNEL_DRIFTS[drift]
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(walk, "_THREADS", 1)
+            whole = _outcome(simulate, spec, seed, horizon, n_paths)  # one block
+            mp.setattr(walk, "_THREADS", threads)
             mp.setattr(walk, "_CHUNK_PATHS", chunk)
-            compiled = _outcome(simulate, spec, seed, horizon, n_paths)
-            mp.setattr(walk, "_load_kernel", lambda: None)
-            numpy = _outcome(simulate, spec, seed, horizon, n_paths)
+            split = _outcome(simulate, spec, seed, horizon, n_paths)
         reference = _outcome(simulate_reference, spec, seed, horizon, n_paths)
         if isinstance(reference, Exception):
-            # The reference stops at the first path that fails; the kernels
-            # name the earliest step of the first block that reaches it.
-            assert isinstance(compiled, InvalidDrift) and isinstance(numpy, InvalidDrift)
-            assert str(compiled) == str(numpy)
+            # The reference stops at the first path that fails; the kernel
+            # names the earliest step at which any path stands there.
+            steps = _first_stands(seed, n_paths, horizon, FAILS_AT[drift])
+            step = min(t for t in steps if t is not None)
+            assert isinstance(split, InvalidDrift) and str(split) == str(whole)
+            assert str(split).endswith(f" at step {step}")
         else:
-            assert compiled == numpy == reference
+            assert split == whole == reference
 
     def test_examples_reach_their_failing_position(self):
         # The two explicit examples above do reach their failing position.
         for drift, seed, n_paths in (("out-of-range", 3, 30), ("fails", 5, 25)):
             with pytest.raises(InvalidDrift, match=r" at step \d+$"):
                 simulate(KERNEL_DRIFTS[drift], seed=seed, horizon=300, n_paths=n_paths)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_later_block_reaching_first_names_its_step(self, monkeypatch, threads):
+        # Seed 3: paths 0-3 first stand on 9 at steps 49, 43, 37, 29 and paths
+        # 4-7 at 27, 23, 47, 35, so in blocks of 4 the second block gets
+        # there first.  The error names step 23 on any schedule, where
+        # running the blocks in turn would stop at the first one's step 29.
+        assert _first_stands(3, 8, 300, 9) == [49, 43, 37, 29, 27, 23, 47, 35]
+        monkeypatch.setattr(walk, "_THREADS", threads)
+        monkeypatch.setattr(walk, "_CHUNK_PATHS", 4)
+        spec = KERNEL_DRIFTS["out-of-range"]
+        message = "alpha(9) = 0.9 violates 0 < alpha < min(C=0.5, n/2=4.5) at step {}"
+        with pytest.raises(InvalidDrift) as info:
+            simulate(spec, seed=3, horizon=300, n_paths=4)
+        assert str(info.value) == message.format(29)
+        with pytest.raises(InvalidDrift) as info:
+            simulate(spec, seed=3, horizon=300, n_paths=8)
+        assert str(info.value) == message.format(23)
+
+
+class TestThreads:
+    def test_error_of_alpha_in_a_worker_keeps_its_type(self, monkeypatch):
+        # The main thread waits until the worker's block is done, so alpha
+        # fails in the worker; simulate raises that very exception.
+        monkeypatch.setattr(walk, "_THREADS", 2)
+        monkeypatch.setattr(walk, "_CHUNK_PATHS", 1)
+        worker_done = threading.Event()
+        run_block = walk._run_block
+
+        def ordered(*args):
+            if threading.current_thread() is threading.main_thread():
+                assert worker_done.wait(timeout=30)
+                return run_block(*args)
+            try:
+                return run_block(*args)
+            finally:
+                worker_done.set()
+
+        raised = []
+
+        def alpha(n):
+            raised.append((ZeroDivisionError(n), threading.current_thread()))
+            raise raised[-1][0]
+
+        monkeypatch.setattr(walk, "_run_block", ordered)
+        with pytest.raises(ZeroDivisionError) as info:
+            simulate(DriftSpec(alpha=alpha, C=0.5), seed=1, horizon=50, n_paths=2)
+        assert len(raised) == 1
+        assert info.value is raised[0][0]
+        assert raised[0][1] is not threading.main_thread()
+
+    def test_default_thread_count_is_usable_cpus(self):
+        assert walk._THREADS == len(os.sched_getaffinity(0))
+
+    @pytest.mark.parametrize("n_paths,chunk,threads", [
+        (1, 1, None), (2, 1, None), (2, 1, 2), (5, 1, 2), (5, 1, 1), (30, 7, 2), (30, 50, 2),
+    ])
+    def test_threads_started(self, monkeypatch, n_paths, chunk, threads):
+        # The calling thread runs blocks too, so a run starts one thread
+        # fewer than it uses: min(blocks, _THREADS), at most one per CPU.
+        monkeypatch.setattr(walk, "_CHUNK_PATHS", chunk)
+        if threads is not None:
+            monkeypatch.setattr(walk, "_THREADS", threads)
+        started = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        simulate(alpha_const(0.3).drift, seed=4, horizon=100, n_paths=n_paths)
+        size = min(chunk, -(-n_paths // walk._THREADS))
+        assert len(started) + 1 == min(-(-n_paths // size), walk._THREADS)
+        if threads is None:
+            assert len(started) + 1 <= len(os.sched_getaffinity(0))
+        assert not any(thread.is_alive() for thread in started)
 
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
@@ -410,14 +513,19 @@ class TestKernelLoader:
     def test_compiled_kernel_is_used(self):
         assert walk._load_kernel() is not None
 
-    def test_no_compiler_falls_back_to_numpy(self, caches, tmp_path, monkeypatch):
+    def test_no_compiler_raises_naming_it(self, caches, tmp_path, monkeypatch):
+        # simulate needs the compiled kernel; the classifiers and the scalar
+        # reference do not.
         spec = alpha_const(0.3).drift
-        want = simulate(spec, seed=8, horizon=300, n_paths=30)
         monkeypatch.setenv("PATH", str(tmp_path))
-        assert walk._build_kernel(walk._KERNEL_SOURCE) is None
+        match = r"^simulate needs a C compiler: cc could not build the walk kernel \(.*'cc'"
+        with pytest.raises(OSError, match=match):
+            walk._build_kernel(walk._KERNEL_SOURCE)
         monkeypatch.setattr(walk, "_load_kernel", lambda: walk._build_kernel(walk._KERNEL_SOURCE))
-        assert simulate(spec, seed=8, horizon=300, n_paths=30) == want == simulate_reference(
-            spec, seed=8, horizon=300, n_paths=30)
+        with pytest.raises(OSError, match=match):
+            simulate(spec, seed=8, horizon=300, n_paths=30)
+        assert rw_classify(spec).decision is WalkFate.TRANSIENT
+        assert simulate_reference(spec, seed=8, horizon=30, n_paths=3).n_paths == 3
 
     @needs_cc
     def test_package_cache_first(self, caches):
