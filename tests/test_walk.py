@@ -556,3 +556,101 @@ class TestKernelLoader:
         for source in (walk._KERNEL_SOURCE, walk._KERNEL_SOURCE + "/* changed */\n"):
             assert walk._build_kernel(source) is not None
         assert len(list(package.glob("walk-*.so"))) == 2
+
+
+class TestSimulationNumpyFallback:
+    """Where a numpy kernel once stood in for a missing compiler: without
+    ``cc``, simulate still checks its arguments first, then raises OSError
+    naming the compiler before alpha is evaluated anywhere, while the scalar
+    reference runs as before."""
+
+    NEEDS_CC = r"^simulate needs a C compiler: cc could not build the walk kernel \(.*'cc'"
+
+    @pytest.fixture(autouse=True)
+    def kernel(self, caches, tmp_path, monkeypatch):
+        """The kernel built while ``cc`` was there; then ``cc`` goes away."""
+        kernel = walk._load_kernel()
+        monkeypatch.setenv("PATH", str(tmp_path))
+        monkeypatch.setattr(walk, "_load_kernel",
+                            lambda: walk._build_kernel(walk._KERNEL_SOURCE))
+        return kernel
+
+    def _needs_cc(self, spec, **run):
+        with pytest.raises(OSError, match=self.NEEDS_CC) as info:
+            simulate(spec, **run)
+        return str(info.value)
+
+    def test_vectorized_matches_scalar_reference(self, kernel, monkeypatch):
+        spec = alpha_const(0.3).drift
+        run = dict(seed=2024, horizon=400, n_paths=41)
+        self._needs_cc(spec, **run)
+        slow = simulate_reference(spec, **run)
+        monkeypatch.setattr(walk, "_load_kernel", lambda: kernel)
+        assert simulate(spec, **run) == slow
+
+    def test_deterministic_across_runs_and_chunks(self, monkeypatch):
+        spec = alpha_const(0.2).drift
+        errors = set()
+        for threads in (1, 2):
+            monkeypatch.setattr(walk, "_THREADS", threads)
+            for chunk in (120, 7, 13, 120):
+                monkeypatch.setattr(walk, "_CHUNK_PATHS", chunk)
+                errors.add(self._needs_cc(spec, seed=9, horizon=250, n_paths=120))
+        assert len(errors) == 1
+
+    @pytest.mark.parametrize("seed", [-5, 1 << 64])
+    def test_seed_out_of_range_rejected(self, seed):
+        for run in (simulate, simulate_reference):
+            with pytest.raises(ValueError, match="seed"):
+                run(alpha_const(0.2).drift, seed=seed, horizon=10, n_paths=4)
+
+    def test_input_validation(self):
+        for run in (simulate, simulate_reference):
+            with pytest.raises(ValueError, match="horizon"):
+                run(QUARTER, seed=1, horizon=0, n_paths=5)
+            with pytest.raises(ValueError, match="n_paths"):
+                run(QUARTER, seed=1, horizon=5, n_paths=0)
+
+    def test_invalid_drift_surfaces_at_visit(self):
+        # alpha invalid from 30 up: the reference's up-biased paths visit 30
+        # and raise InvalidDrift; without a kernel no path visits anything.
+        def alpha(n):
+            return 0.45 if n < 30 else 0.9
+
+        spec = DriftSpec(alpha=alpha, C=0.5)
+        self._needs_cc(spec, seed=3, horizon=3000, n_paths=8)
+        with pytest.raises(InvalidDrift, match=r"^alpha\(30\) = 0\.9 violates"):
+            simulate_reference(spec, seed=3, horizon=3000, n_paths=8)
+
+    def test_evaluation_failure_at_visit_is_invalid_drift(self):
+        # Only the kernel's drift table turns a failure at 12 into
+        # InvalidDrift; without a kernel simulate names the compiler, and the
+        # reference, visiting 12, raises the evaluation error itself.
+        spec = DriftSpec(alpha=parse_expression("0.3 + 0*ln(12 - n)"), C=0.5)
+        self._needs_cc(spec, seed=3, horizon=3000, n_paths=8)
+        with pytest.raises(EvalError, match=r"^ln of non-positive value 0\.0 at n=12"):
+            simulate_reference(spec, seed=3, horizon=3000, n_paths=8)
+
+    @pytest.mark.parametrize("seed,horizon,n_paths,chunk", [
+        (2024, 400, 41, 4096), (11, 2000, 300, 64), (3, 3000, 20, 7),
+    ])
+    def test_alpha_evaluated_once_per_reached_position(self, monkeypatch, seed, horizon,
+                                                       n_paths, chunk):
+        # No position is reached, so alpha is evaluated nowhere, however the
+        # paths would have been split.
+        monkeypatch.setattr(walk, "_CHUNK_PATHS", chunk)
+        calls = []
+
+        def alpha(n):
+            calls.append(n)
+            return 0.3
+
+        self._needs_cc(DriftSpec(alpha=alpha, C=0.5), seed=seed, horizon=horizon,
+                       n_paths=n_paths)
+        assert calls == []
+
+    def test_unreached_positions_are_never_evaluated(self):
+        def alpha(n):
+            raise ZeroDivisionError(n)
+
+        self._needs_cc(DriftSpec(alpha=alpha, C=0.5), seed=1, horizon=40, n_paths=4)
