@@ -106,7 +106,7 @@ class KummerWeight:
 
 @dataclass(frozen=True)
 class ExtractionSample:
-    """One sampled statistic (s_n, or Kummer's rho), flagged when cancellation ate its bits."""
+    """One extracted s_n, flagged when cancellation ate its bits."""
 
     n: int
     s: float
@@ -259,13 +259,6 @@ def _usable_tail(points: Sequence[SamplePoint], tail_fraction: float) -> list[Sa
     return usable[len(usable) - k:]
 
 
-def delta_at(spec: RatioSpec, n: int, use_delta: bool = True) -> tuple[float, bool]:
-    """(a_n/a_{n+1} - 1, had_exact_delta) at index n."""
-    if use_delta and spec.delta is not None:
-        return float(spec.delta(n)), True
-    return spec.ratio_at(n) - 1.0, False
-
-
 def kummer_rho(weight: KummerWeight, ratio: RatioSpec, n: int, use_delta: bool = True) -> float:
     """Kummer statistic zeta_n * (a_n/a_{n+1}) - zeta_{n+1}.
 
@@ -300,7 +293,7 @@ def kummer_test(
     reciprocal sum; otherwise inconclusive.
     """
     return _tail_window_test(
-        lambda n: ExtractionSample(n, kummer_rho(weight, ratio, n, use_delta=use_delta)),
+        lambda n: (kummer_rho(weight, ratio, n, use_delta=use_delta), False),
         _effective_window(ratio, window, weight.first_index), ratio.support,
         margin, samples, tail_fraction,
         threshold=0.0, min_tail=1, may_diverge=weight.reciprocal_sum_diverges, level=None,
@@ -314,26 +307,49 @@ def extract_sn(K: int, ratio: RatioSpec, n: int, use_delta: bool = True) -> Extr
     with delta(n) := ratio(n) - 1 when no exact delta form is supplied.  The
     empty sum at K = 1 contributes nothing.  ``precision_warning`` is set
     when the subtraction chain, starting from a raw ratio, lost more than
-    half the significand.
+    half the significand.  This is one call of a fresh :func:`_sampler`,
+    through which the fixed-depth and adaptive tests evaluate the source
+    once per sampled index per verdict.
     """
     lo = max(ratio.first_index, min_domain(K))
     if n < lo:
         raise DomainError(f"extract_sn: n={n} below first admissible index {lo} at depth {K}")
     if ratio.last_index is not None and n > ratio.last_index:
         raise DomainError(f"extract_sn: n={n} beyond ratio domain end {ratio.last_index}")
-    d, exact = delta_at(ratio, n, use_delta)
-    t = d - 1.0 / n
-    _check_index(n)
-    # One pass down the log chain in iterlog_product's operation order (bit-identical).
-    x, v, p = float(n), float(n), 1.0
-    for i in range(K):
-        if i:
-            t -= 1.0 / (x * p)
-        v = math.log(v)
-        p *= v
-    s = t * (x * p)
-    warned = (not exact) and abs(t) < _CANCEL_THRESHOLD
-    return ExtractionSample(n=n, s=s, precision_warning=warned)
+    return ExtractionSample(n, *_sampler(ratio, use_delta)(K, n))
+
+
+def _sampler(ratio: RatioSpec, use_delta: bool) -> Callable[[int, int], tuple[float, bool]]:
+    """(s_n, unusable) at depth K, for depths that never fall.
+
+    Each index calls the source once and keeps the loop state (k, t, x, v,
+    p, exact); one more depth then costs one subtraction, one log and one
+    multiply, in iterlog_product's operation order, so s_n is bit-identical
+    at any depth.  An index whose source raised is unusable at every later
+    depth, with no second call; it keeps an empty state, not the exception,
+    whose traceback would tie this state into a reference cycle.
+    """
+    states: dict[int, list] = {}
+
+    def sample(K: int, n: int) -> tuple[float, bool]:
+        state = states.get(n)
+        if state is None:
+            states[n] = []  # stays empty if the source raises
+            exact = use_delta and ratio.delta is not None
+            t = (float(ratio.delta(n)) if exact else ratio.ratio_at(n) - 1.0) - 1.0 / n
+            _check_index(n)
+            state = states[n] = [0, t, float(n), float(n), 1.0, exact]
+        elif not state:
+            return math.nan, True
+        k, t, x, v, p, exact = state
+        for i in range(k, K):
+            if i:
+                t -= 1.0 / (x * p)
+            v = math.log(v)
+            p *= v
+        state[:] = K, t, x, v, p, exact
+        return t * (x * p), (not exact) and abs(t) < _CANCEL_THRESHOLD
+    return sample
 
 
 def reconstruct_ratio(K: int, s: float, n: int) -> float:
@@ -370,7 +386,7 @@ def _effective_window(
 
 
 def _tail_window_test(
-    statistic: Callable[[int], ExtractionSample],
+    statistic: Callable[[int], tuple[float, bool]],
     window: tuple[int, int],
     support: Sequence[int] | None,
     margin: float,
@@ -384,22 +400,23 @@ def _tail_window_test(
 ) -> Verdict:
     """Sample ``statistic`` over the clipped window and decide on its usable tail.
 
-    A sample that raised or carries a precision warning is kept as unusable.
-    Converges when the tail minimum exceeds threshold + margin;
-    diverges when the tail maximum is below threshold - margin and
-    ``may_diverge`` holds; inconclusive otherwise or when fewer than
-    ``min_tail`` usable samples fall in the tail.  Excluding a poisoned
-    sample can only widen Inconclusive; keeping it could flip a verdict.
+    ``statistic(n)`` gives (value, unusable); a sample that raised or is
+    unusable, as after a precision warning, is kept as unusable.  Converges
+    when the tail minimum exceeds threshold + margin; diverges when the tail
+    maximum is below threshold - margin and ``may_diverge`` holds;
+    inconclusive otherwise or when fewer than ``min_tail`` usable samples
+    fall in the tail.  Excluding a poisoned sample can only widen
+    Inconclusive; keeping it could flip a verdict.
     """
     if not 0 < margin < math.inf:
         raise ValueError(f"margin must be finite and positive, got {margin}")
     pts = []
     for n in sample_grid(*window, samples, support):
         try:
-            sample = statistic(n)
-            pts.append(SamplePoint(n, sample.s, not sample.precision_warning))
+            s, unusable = statistic(n)
         except (DomainError, EvalError, ArithmeticError):
-            pts.append(SamplePoint(n, math.nan, False))
+            s, unusable = math.nan, True
+        pts.append(SamplePoint(n, s, not unusable))
     tail = _usable_tail(pts, tail_fraction)
     dropped = sum(1 for p in pts if not p.usable)
     if len(tail) < min_tail:
@@ -432,11 +449,18 @@ def extended_bdm_test(
     extraction raised a domain error or tripped the cancellation warning are
     recorded but excluded from the tail extrema.
     """
+    return _depth_test(K, ratio, _sampler(ratio, use_delta), window, margin, samples,
+                       tail_fraction)
+
+
+def _depth_test(K: int, ratio: RatioSpec, sample: Callable[[int, int], tuple[float, bool]],
+                window: tuple[int, int] | None, margin: float, samples: int,
+                tail_fraction: float) -> Verdict:
     window = _effective_window(ratio, window or (DEFAULT_WINDOW_FLOOR, DEFAULT_WINDOW_HI),
                                min_domain(K), f" at depth {K}")
     return _tail_window_test(
-        lambda n: extract_sn(K, ratio, n, use_delta=use_delta), window, ratio.support,
-        margin, samples, tail_fraction, threshold=1.0, min_tail=2, may_diverge=True, level=K,
+        lambda n: sample(K, n), window, ratio.support, margin, samples, tail_fraction,
+        threshold=1.0, min_tail=2, may_diverge=True, level=K,
     )
 
 
@@ -485,17 +509,19 @@ def adaptive_classify(ratio: RatioSpec, config: ClassifyConfig | None = None) ->
     because the apparent margin is then a slowly decaying correction term
     that the next depth resolves.  An inconclusive verdict escalates only
     when the tail hovers inside the near-one band.  The returned verdict
-    carries the full escalation trace.
+    carries the full escalation trace.  The depths share one sampler, so the
+    source is evaluated once per sampled index, whatever the depth reached.
     """
     config = config or ClassifyConfig()
     reports: list[LevelReport] = []
     K = config.k_start
     verdict: Verdict | None = None
+    sample = _sampler(ratio, config.use_delta)
     while True:
         try:
-            verdict = extended_bdm_test(
-                K, ratio, (config.window_lo, config.window_hi), config.margin,
-                config.samples, config.tail_fraction, config.use_delta,
+            verdict = _depth_test(
+                K, ratio, sample, (config.window_lo, config.window_hi), config.margin,
+                config.samples, config.tail_fraction,
             )
         except InvalidWindow as exc:
             base = verdict or Verdict(Decision.INCONCLUSIVE, K, (0, 0), None, None, config.margin)

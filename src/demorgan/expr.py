@@ -16,15 +16,18 @@ since expressions feed series terms and weights that must stay positive;
 evaluation outside that region raises :class:`~demorgan.errors.EvalError`.
 
 Every input either parses or raises :class:`ExpressionSyntaxError` with a
-position; nothing panics, including pathologically nested input.
+position; nothing panics, including pathologically nested input or a chain
+of thousands of terms.  Parsing compiles the expression, once, into nested
+closures, which every call then runs.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, field
+from typing import Callable, Union
 
 from .errors import DomainError, EvalError, ExpressionSyntaxError
 from .iterlog import K_MAX_NUMERIC, iterlog
@@ -142,65 +145,87 @@ class _Parser:
         return node
 
 
-def _eval(node: Node, n: float) -> float:
+def _compile(node: Node) -> Callable[[float], float]:
+    """Nested closures evaluating ``node`` at n, with every runtime check of the language.
+
+    The left spine of binary operators, as in ``a + b - c / d``, is one
+    closure applying them in turn from the left, so its length costs no
+    recursion; operands nest only as deep as the parser allows.
+    """
     kind = node[0]
     if kind == "num":
-        return node[1]
+        value = node[1]
+        return lambda n: value
     if kind == "n":
-        return n
+        return lambda n: n
     if kind == "bin":
-        _, op, lhs, rhs = node
-        a = _eval(lhs, n)
-        b = _eval(rhs, n)
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            if b == 0.0:
-                raise EvalError(f"division by zero at n={n}")
-            return a / b
-        try:
-            return math.pow(a, b)
-        except OverflowError:
-            raise EvalError(f"overflow evaluating '^' at n={n}") from None
-        except ValueError as exc:
-            raise EvalError(f"domain error evaluating '^' at n={n}: {exc}") from None
-    name = node[1]
+        steps = []
+        while node[0] == "bin":
+            steps.append((_OPERATORS[node[1]], _compile(node[3])))
+            node = node[2]
+        first, steps = _compile(node), steps[::-1]
+
+        def chain(n):
+            a = first(n)
+            for apply, rhs in steps:
+                b = rhs(n)
+                try:  # only "/" divides by zero, and only "^" leaves its range or domain
+                    a = apply(a, b)
+                except ZeroDivisionError:
+                    raise EvalError(f"division by zero at n={n}") from None
+                except OverflowError:
+                    raise EvalError(f"overflow evaluating '^' at n={n}") from None
+                except ValueError as exc:
+                    raise EvalError(f"domain error evaluating '^' at n={n}: {exc}") from None
+            return a
+        return chain
+    name, arg = node[1], _compile(node[-1])
     if name == "iterlog":
-        _, _, k, arg = node
-        x = _eval(arg, n)
-        try:
-            v = iterlog(k, x)
-        except DomainError as exc:
-            raise EvalError(str(exc)) from None
-        if v <= 0.0:
-            raise EvalError(
-                f"iterlog({k}, {x}) = {v} is not positive; outside this language's domain"
-            )
-        return v
-    x = _eval(node[2], n)
+        k = node[2]
+
+        def iterated_log(n):
+            x = arg(n)
+            try:
+                v = iterlog(k, x)
+            except DomainError as exc:
+                raise EvalError(str(exc)) from None
+            if v <= 0.0:
+                raise EvalError(
+                    f"iterlog({k}, {x}) = {v} is not positive; outside this language's domain"
+                )
+            return v
+        return iterated_log
     if name == "ln":
-        if x <= 0.0:
-            raise EvalError(f"ln of non-positive value {x} at n={n}")
-        return math.log(x)
-    try:
-        return math.exp(x)
-    except OverflowError:
-        raise EvalError(f"overflow in exp({x})") from None
+        def ln(n):
+            x = arg(n)
+            if x <= 0.0:
+                raise EvalError(f"ln of non-positive value {x} at n={n}")
+            return math.log(x)
+        return ln
+
+    def exp(n):
+        x = arg(n)
+        try:
+            return math.exp(x)
+        except OverflowError:
+            raise EvalError(f"overflow in exp({x})") from None
+    return exp
+
+
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+              "^": math.pow}
 
 
 @dataclass(frozen=True)
 class Expression:
-    """A parsed expression, callable at any real index."""
+    """A parsed expression, compiled once and callable at any real index."""
 
     text: str
     ast: Node
+    fn: Callable[[float], float] = field(repr=False, compare=False)
 
     def __call__(self, n: float) -> float:
-        v = _eval(self.ast, float(n))
+        v = self.fn(float(n))
         if not math.isfinite(v):
             raise EvalError(f"{self.text!r} is not finite at n={n}")
         return v
@@ -215,4 +240,5 @@ def parse_expression(text: str) -> Expression:
     """
     if not isinstance(text, str):
         raise ExpressionSyntaxError("expression must be a string", 0)
-    return Expression(text=text, ast=_Parser(text).parse())
+    ast = _Parser(text).parse()
+    return Expression(text, ast, _compile(ast))

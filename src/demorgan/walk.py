@@ -355,10 +355,11 @@ def simulate(spec: DriftSpec, seed: int, horizon: int, n_paths: int) -> Simulati
     """Simulate n_paths independent trajectories from position 1.
 
     Bit-identical output for identical (seed, horizon, n_paths), whatever
-    the partition and the thread count: the paths run in blocks of at most
-    ``_CHUNK_PATHS``, split so that each of up to ``_THREADS`` threads gets
-    one, and the blocks' counts, sums and maxima over their paths are
-    combined in block order once every block is done.  Each block runs in a
+    the partition and the thread count.  The paths run in blocks of one
+    size, the last maybe shorter, of at most ``_CHUNK_PATHS`` paths and as
+    many as a multiple of the threads that run them, up to ``_THREADS``; the
+    blocks' counts, sums and maxima over their paths are combined in block
+    order once every block is done.  Each block runs in a
     compiled C kernel, path after path, which the per-path streams allow;
     it is built with ``cc`` on first use and cached on disk, and without a C
     compiler this raises OSError.
@@ -372,7 +373,9 @@ def simulate(spec: DriftSpec, seed: int, horizon: int, n_paths: int) -> Simulati
     _check_run_args(seed, horizon, n_paths)
     kernel = _load_kernel()
     table = _Thresholds(spec)
-    size = min(_CHUNK_PATHS, -(-n_paths // _THREADS))
+    count = -(-n_paths // min(_CHUNK_PATHS, -(-n_paths // _THREADS)))
+    count = -(-count // min(count, _THREADS)) * min(count, _THREADS)  # as many for every thread
+    size = -(-n_paths // count)
     starts = range(0, n_paths, size)
     results: list = [None] * len(starts)
     crashed: list[Exception] = []

@@ -58,6 +58,12 @@ class TestClassifySeries:
         assert code == 0
         assert doc["result"]["decision"] == "converges"
 
+    def test_long_expression_source(self, capsys):
+        # 3,000 "+0" terms, more than the interpreter's recursion limit.
+        code, doc = run_json(capsys, "classify-series", "--a-n", "1/n^2" + "+0" * 3000)
+        assert code == 0
+        assert doc["result"]["decision"] == "converges"
+
     def test_table_source(self, capsys, tmp_path):
         path = tmp_path / "t.txt"
         path.write_text("\n".join(f"{n} {1.0 / n ** 2}" for n in range(2, 2000)))

@@ -1,5 +1,6 @@
 """Kummer test, coefficient extraction, fixed-depth and adaptive verdicts."""
 
+import gc
 import math
 
 import mpmath as mp
@@ -21,9 +22,18 @@ from demorgan.convergence import (
     reconstruct_ratio,
     sample_grid,
 )
-from demorgan.errors import DomainError, InvalidWindow
-from demorgan.families import iterlog_power, log_power, make_series_family, p_series
+from demorgan.errors import DomainError, EvalError, InvalidWindow
+from demorgan.expr import parse_expression
+from demorgan.families import (
+    _term_ratio,
+    geometric,
+    iterlog_power,
+    log_power,
+    make_series_family,
+    p_series,
+)
 from demorgan.iterlog import INDEX_LIMIT, iterlog_product, min_domain, zeta_weight
+from demorgan.tables import ratio_spec_from_rows
 
 
 def harmonic_spec() -> RatioSpec:
@@ -410,6 +420,123 @@ class TestEscalationConsistency:
         tail = [p for p in v.samples if p.usable and p.n >= min_domain(2)][-8:]
         values = [extract_sn(2, spec, p.n).s for p in tail]
         assert all(b < a for a, b in zip(values, values[1:]))
+
+
+def _table_spec() -> RatioSpec:
+    """Terms 1/n^1.5 tabulated in (n, n+1) pairs at 40 indices up to 10^7."""
+    starts = {int(2 * 5e6 ** (k / 39)) for k in range(40)}
+    rows = sorted({(m, m ** -1.5) for n in starts for m in (n, n + 1)})
+    return ratio_spec_from_rows(rows, "terms")
+
+
+def _delta_expression_spec(text: str, first_index: int) -> RatioSpec:
+    delta = parse_expression(text)
+    return RatioSpec(ratio=lambda n: 1.0 + delta(n), delta=delta, first_index=first_index)
+
+
+SAMPLER_SPECS = [
+    p_series(2.0).ratio_spec,
+    log_power(1.1).ratio_spec,
+    iterlog_power(1, 1.0).ratio_spec,
+    iterlog_power(3, 0.5).ratio_spec,
+    geometric(0.5).ratio_spec,
+    RatioSpec(ratio=_term_ratio(parse_expression("1/(n*ln(n)^1.5)")), first_index=2),
+    _delta_expression_spec("1/n + 1/(n*ln(n)) + 0.9/(n*ln(n)*iterlog(2,n))", 16),
+    _table_spec(),
+]
+
+
+def _points(samples):
+    return [(p.n, p.value.hex(), p.usable) for p in samples]
+
+
+def _extracted(K, spec, n, use_delta):
+    """The SamplePoint a fixed-depth test must record at n."""
+    try:
+        sample = extract_sn(K, spec, n, use_delta)
+    except (DomainError, EvalError, ArithmeticError):
+        return n, math.nan.hex(), False
+    return n, sample.s.hex(), not sample.precision_warning
+
+
+class _CountingDelta:
+    """A delta that counts its calls per index and fails with EvalError at ``fail_at``."""
+
+    def __init__(self, delta, fail_at=None):
+        self.delta, self.fail_at, self.calls = delta, fail_at, {}
+
+    def __call__(self, n):
+        self.calls[n] = self.calls.get(n, 0) + 1
+        if n == self.fail_at:
+            raise EvalError(f"no value at n={n}")
+        return self.delta(n)
+
+
+class TestSampler:
+    """One source call per sampled index per verdict, with s_n as extract_sn gives it."""
+
+    @given(K=st.integers(1, 4), spec=st.sampled_from(SAMPLER_SPECS), use_delta=st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_fixed_depth_samples_are_extract_sn(self, K, spec, use_delta):
+        v = extended_bdm_test(K, spec, use_delta=use_delta)
+        assert _points(v.samples) == [_extracted(K, spec, p.n, use_delta) for p in v.samples]
+
+    @given(spec=st.sampled_from(SAMPLER_SPECS), use_delta=st.booleans(),
+           window_lo=st.sampled_from([4, 100, 10**4]))
+    @settings(max_examples=60, deadline=None)
+    def test_adaptive_verdict_samples_are_the_fixed_depth_test(self, spec, use_delta, window_lo):
+        config = ClassifyConfig(use_delta=use_delta, window_lo=window_lo)
+        v = adaptive_classify(spec, config)
+        fixed = extended_bdm_test(v.level, spec, (config.window_lo, config.window_hi),
+                                  config.margin, config.samples, config.tail_fraction,
+                                  use_delta)
+        assert _points(v.samples) == _points(fixed.samples)
+
+    def test_source_called_once_per_distinct_index(self):
+        # Depths 1 and 2 share the grid over [4, 10^7]; depth 3 starts at
+        # min_domain(3) = 16 and samples a new one.
+        spec = iterlog_power(1, 1.0).ratio_spec
+        counted = _CountingDelta(spec.delta)
+        config = ClassifyConfig(window_lo=4)
+        v = adaptive_classify(RatioSpec(ratio=spec.ratio, delta=counted,
+                                        first_index=spec.first_index), config)
+        assert [r.level for r in v.trace] == [1, 2, 3]
+        grids = [set(sample_grid(*r.window, config.samples)) for r in v.trace]
+        assert set(counted.calls) == set().union(*grids) != grids[-1]
+        assert set(counted.calls.values()) == {1}
+
+    def test_failing_index_is_called_once_and_unusable_at_every_depth(self):
+        spec = iterlog_power(1, 1.0).ratio_spec
+        bad = sample_grid(100, 10**7)[-3]
+        counted = _CountingDelta(spec.delta, fail_at=bad)
+        failing = RatioSpec(ratio=spec.ratio, delta=counted, first_index=spec.first_index)
+        v = adaptive_classify(failing)
+        assert [r.level for r in v.trace] == [1, 2, 3]
+        assert [r.dropped for r in v.trace] == [1, 1, 1]
+        assert counted.calls[bad] == 1
+        assert [p for p in v.samples if p.n == bad][0].usable is False
+        for K in (1, 2, 3):
+            point = [p for p in extended_bdm_test(K, failing).samples if p.n == bad][0]
+            assert not point.usable and math.isnan(point.value)
+
+    def test_failing_source_leaves_no_reference_cycle(self):
+        spec = iterlog_power(1, 1.0).ratio_spec
+        failing = RatioSpec(ratio=spec.ratio, first_index=spec.first_index,
+                            delta=_CountingDelta(spec.delta, fail_at=sample_grid(100, 10**7)[-3]))
+        gc.collect()
+        gc.disable()
+        try:
+            adaptive_classify(failing)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_other_exceptions_propagate(self):
+        def delta(n):
+            raise KeyError(n)
+
+        with pytest.raises(KeyError):
+            adaptive_classify(RatioSpec(ratio=lambda n: 2.0, delta=delta))
 
 
 class TestKummerReduction:

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demorgan.errors import EvalError, ExpressionSyntaxError
+from demorgan.errors import DomainError, EvalError, ExpressionSyntaxError
 from demorgan.expr import parse_expression
+from demorgan.iterlog import iterlog
 
 
 class TestEvaluation:
@@ -272,3 +273,103 @@ class TestRoundTrip:
         expr = parse_expression(_show(ast))
         assert expr.ast == ast
         assert _outcome(expr, n) == _outcome(lambda m: _reference(ast, float(m)), n)
+
+
+def _tree_walk(node, n):
+    """The tree-walking evaluator the compiler replaced, kept as its oracle."""
+    kind = node[0]
+    if kind == "num":
+        return node[1]
+    if kind == "n":
+        return n
+    if kind == "bin":
+        _, op, lhs, rhs = node
+        a = _tree_walk(lhs, n)
+        b = _tree_walk(rhs, n)
+        if op == "+":
+            return a + b
+        if op == "-":
+            return a - b
+        if op == "*":
+            return a * b
+        if op == "/":
+            if b == 0.0:
+                raise EvalError(f"division by zero at n={n}")
+            return a / b
+        try:
+            return math.pow(a, b)
+        except OverflowError:
+            raise EvalError(f"overflow evaluating '^' at n={n}") from None
+        except ValueError as exc:
+            raise EvalError(f"domain error evaluating '^' at n={n}: {exc}") from None
+    name = node[1]
+    if name == "iterlog":
+        _, _, k, arg = node
+        x = _tree_walk(arg, n)
+        try:
+            v = iterlog(k, x)
+        except DomainError as exc:
+            raise EvalError(str(exc)) from None
+        if v <= 0.0:
+            raise EvalError(
+                f"iterlog({k}, {x}) = {v} is not positive; outside this language's domain"
+            )
+        return v
+    x = _tree_walk(node[2], n)
+    if name == "ln":
+        if x <= 0.0:
+            raise EvalError(f"ln of non-positive value {x} at n={n}")
+        return math.log(x)
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise EvalError(f"overflow in exp({x})") from None
+
+
+def _walked(text, ast, n):
+    """What calling the expression must give: the tree walk at float(n), if finite."""
+    v = _tree_walk(ast, float(n))
+    if not math.isfinite(v):
+        raise EvalError(f"{text!r} is not finite at n={n}")
+    return v
+
+
+def _result(f, *args):
+    try:
+        return float.hex(f(*args))
+    except EvalError as exc:
+        return type(exc), str(exc)
+
+
+class TestCompiler:
+    @given(_ASTS, st.one_of(st.sampled_from([1, 2, 3, 5, 13, 17, 10**6]),
+                            st.floats(0.0, 1e6, allow_nan=False)))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_the_tree_walk(self, ast, n):
+        text = _show(ast)
+        expr = parse_expression(text)
+        assert _result(expr, n) == _result(_walked, text, expr.ast, n)
+
+    @pytest.mark.parametrize("text,n", [
+        ("1/(n-5)", 5), ("(n-1)^0.5", 0.5), ("10^n", 400), ("0^(n-3)", 2),
+        ("ln(n-3)", 3), ("exp(n)", 1000), ("iterlog(2, n)", 2), ("iterlog(3, n)", 0.5),
+        ("n/0 - n", 1), ("exp(n)-exp(n)", 710),
+    ])
+    def test_error_messages_match_the_tree_walk(self, text, n):
+        expr = parse_expression(text)
+        outcome = _result(expr, n)
+        assert outcome[0] is EvalError
+        assert outcome == _result(_walked, text, expr.ast, n)
+
+    def test_long_sum_evaluates_left_to_right(self):
+        # 10,000 terms, far more than the interpreter's recursion limit.
+        rng = random.Random(10_000)
+        coefficients = [rng.uniform(0.0, 10.0) for _ in range(10_000)]
+        ops = [rng.choice("+-") for _ in coefficients[1:]]
+        text = f"{coefficients[0]!r}/n" + "".join(
+            f" {op} {c!r}/n" for op, c in zip(ops, coefficients[1:]))
+        total = coefficients[0] / 7.0
+        for op, c in zip(ops, coefficients[1:]):
+            total = total + c / 7.0 if op == "+" else total - c / 7.0
+        assert parse_expression(text)(7).hex() == total.hex()
+        assert parse_expression("+".join(["n"] * 3000))(5) == 15_000.0
