@@ -52,10 +52,6 @@ class Classification:
     decision: Fate
     series_verdict: Verdict
 
-    @property
-    def label(self) -> str:
-        return self.decision.value
-
 
 _FATE_OF = {
     Decision.CONVERGES: Fate.TRANSIENT,

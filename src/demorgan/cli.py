@@ -153,8 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("eval-iterlog", help="evaluate iterated logarithms")
     pe.add_argument("--K", type=int, required=True, dest="level")
     pe.add_argument("--x", type=float, help="argument (required except for min-domain)")
-    pe.add_argument("--what", choices=("log", "product", "zeta", "increment", "min-domain"),
-                    default="log")
+    pe.add_argument("--what", choices=tuple(_ITERLOG_FUNCTIONS), default="log")
     _add_output_flags(pe)
 
     return parser
@@ -288,20 +287,12 @@ def _drift_source(args: argparse.Namespace) -> tuple[DriftSpec, dict[str, Any]]:
     return drift, {"kind": "expression", "alpha": args.alpha, "C": cap}
 
 
-def _run_classify(args) -> tuple[Report, int]:
+def _run_classify(args) -> tuple:
     mode, source, classify, to_dict = _CLASSIFIERS[args.command]
     spec, echo = source(args)
     config = _classify_config(args)
-    t0 = time.perf_counter()
-    result = classify(spec, config)
-    elapsed = (time.perf_counter() - t0) * 1e3
-    report = Report(
-        mode=mode,
-        input={"source": echo, "config": asdict(config)},
-        result=to_dict(result),
-        timing_ms=elapsed,
-    )
-    return report, EXIT_INCONCLUSIVE if result.decision.value == "inconclusive" else EXIT_OK
+    return (mode, {"source": echo, "config": asdict(config)},
+            lambda: classify(spec, config), to_dict)
 
 
 _CLASSIFIERS = {
@@ -311,48 +302,26 @@ _CLASSIFIERS = {
 }
 
 
-def _run_simulate(args) -> tuple[Report, int]:
+def _run_simulate(args) -> tuple:
     drift, echo = _drift_source(args)
-    t0 = time.perf_counter()
-    sim = simulate(drift, seed=args.seed, horizon=args.horizon, n_paths=args.paths)
-    elapsed = (time.perf_counter() - t0) * 1e3
-    report = Report(
-        mode="simulate",
-        input={
-            "source": echo,
-            "seed": args.seed, "paths": args.paths, "horizon": args.horizon,
-        },
-        result=simulation_to_dict(sim),
-        timing_ms=elapsed,
+    return (
+        "simulate",
+        {"source": echo, "seed": args.seed, "paths": args.paths, "horizon": args.horizon},
+        lambda: simulate(drift, seed=args.seed, horizon=args.horizon, n_paths=args.paths),
+        simulation_to_dict,
     )
-    return report, EXIT_OK
 
 
-def _run_eval_iterlog(args) -> tuple[Report, int]:
-    level = args.level
-    what = args.what
-    if (what == "min-domain") != (args.x is None):
-        raise _UsageError(f"--what {what} needs --x" if args.x is None
+def _run_eval_iterlog(args) -> tuple:
+    function, convert = _ITERLOG_FUNCTIONS[args.what]
+    if (convert is None) != (args.x is None):
+        raise _UsageError(f"--what {args.what} needs --x" if args.x is None
                           else "--x does not apply to --what min-domain")
-    t0 = time.perf_counter()
-    if what == "min-domain":
-        value = min_domain(level)
-    elif what == "log":
-        value = iterlog(level, args.x)
-    elif what == "product":
-        value = iterlog_product(level, _as_index(args.x))
-    elif what == "zeta":
-        value = zeta_weight(level, _as_index(args.x))
-    else:
-        value = expansion_increment(level, _as_index(args.x))
-    elapsed = (time.perf_counter() - t0) * 1e3
-    report = Report(
-        mode="iterlog",
-        input={"K": level, "x": args.x, "what": what},
-        result={"value": value},
-        timing_ms=elapsed,
-    )
-    return report, EXIT_OK
+
+    def compute():
+        return function(args.level) if convert is None else function(args.level, convert(args.x))
+    return ("iterlog", {"K": args.level, "x": args.x, "what": args.what}, compute,
+            lambda value: {"value": value})
 
 
 def _as_index(x: float) -> int:
@@ -362,6 +331,16 @@ def _as_index(x: float) -> int:
     if n != x:
         raise _UsageError(f"this evaluation needs an integer index, got {x}")
     return n
+
+
+# --what -> (function of the level, conversion of --x); min-domain takes no --x.
+_ITERLOG_FUNCTIONS = {
+    "log": (iterlog, float),
+    "product": (iterlog_product, _as_index),
+    "zeta": (zeta_weight, _as_index),
+    "increment": (expansion_increment, _as_index),
+    "min-domain": (min_domain, None),
+}
 
 
 def _print_text(report: Report, out) -> None:
@@ -410,6 +389,7 @@ def _print_verdict(v: dict[str, Any], out, prefix: str = "") -> None:
               file=out)
 
 
+# Each runner returns (mode, input echo, computation, result to dict).
 _RUNNERS = {
     "classify-series": _run_classify,
     "classify-bdp": _run_classify,
@@ -423,17 +403,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        report, code = _RUNNERS[args.command](args)
+        mode, echo, compute, to_dict = _RUNNERS[args.command](args)
+        t0 = time.perf_counter()
+        result = compute()
+        elapsed = (time.perf_counter() - t0) * 1e3
+        report = Report(mode, echo, to_dict(result), None if args.no_timing else elapsed)
     except (_UsageError, DemorganError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    if args.no_timing:
-        report.timing_ms = None
     if args.format == "json":
-        print(report.to_json(include_timing=not args.no_timing))
+        print(report.to_json())
     else:
         _print_text(report, sys.stdout)
-    return code
+    return EXIT_INCONCLUSIVE if report.result.get("decision") == "inconclusive" else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -514,10 +514,9 @@ def adaptive_classify(ratio: RatioSpec, config: ClassifyConfig | None = None) ->
     """
     config = config or ClassifyConfig()
     reports: list[LevelReport] = []
-    K = config.k_start
     verdict: Verdict | None = None
     sample = _sampler(ratio, config.use_delta)
-    while True:
+    for K in range(config.k_start, config.k_max + 1):
         try:
             verdict = _depth_test(
                 K, ratio, sample, (config.window_lo, config.window_hi), config.margin,
@@ -527,47 +526,23 @@ def adaptive_classify(ratio: RatioSpec, config: ClassifyConfig | None = None) ->
             base = verdict or Verdict(Decision.INCONCLUSIVE, K, (0, 0), None, None, config.margin)
             return replace(base, decision=Decision.INCONCLUSIVE, trace=tuple(reports),
                            note=f"depth {K} not reachable: {exc}")
-        guard = None
-        escalate_reason = ""
-        if verdict.decision is not Decision.INCONCLUSIVE:
-            if config.guard:
-                guard = _consistency_guard(K, verdict, config)
-            if guard is None or guard.passed:
-                reports.append(_level_report(verdict, guard))
-                return replace(verdict, trace=tuple(reports))
-            escalate_reason = "next-level growth check failed"
+        decisive = verdict.decision is not Decision.INCONCLUSIVE
+        guard = _consistency_guard(K, verdict, config) if decisive and config.guard else None
+        if decisive:
+            reason = "" if guard is None or guard.passed else "next-level growth check failed"
         else:
             in_band = (
                 verdict.s_min is not None
                 and abs(verdict.s_min - 1.0) <= config.near_one_band
                 and abs(verdict.s_max - 1.0) <= config.near_one_band
             )
-            if in_band:
-                escalate_reason = "tail hovers near the critical value"
-        if not escalate_reason or K >= config.k_max:
-            note = "" if not escalate_reason else (
-                f"stopped at depth {K} ({escalate_reason}, no depth left)"
-            )
-            reports.append(_level_report(verdict, guard, escalate_reason))
-            final = verdict if verdict.decision is Decision.INCONCLUSIVE else replace(
-                verdict, decision=Decision.INCONCLUSIVE,
-                note=f"decisive at depth {K} but {escalate_reason}",
-            )
-            return replace(final, trace=tuple(reports), note=final.note or note)
-        reports.append(_level_report(verdict, guard, escalate_reason))
-        K += 1
-
-
-def _level_report(verdict: Verdict, guard: GuardReport | None, escalated: str = "") -> LevelReport:
-    return LevelReport(
-        level=verdict.level if verdict.level is not None else 0,
-        window=verdict.window,
-        decision=verdict.decision,
-        s_min=verdict.s_min,
-        s_max=verdict.s_max,
-        usable=sum(1 for p in verdict.samples if p.usable),
-        dropped=verdict.dropped,
-        guard=guard,
-        escalated=escalated,
-    )
-
+            reason = "tail hovers near the critical value" if in_band else ""
+        reports.append(LevelReport(
+            K, verdict.window, verdict.decision, verdict.s_min, verdict.s_max,
+            sum(1 for p in verdict.samples if p.usable), verdict.dropped, guard, reason,
+        ))
+        if not reason:
+            return replace(verdict, trace=tuple(reports))
+    note = (f"decisive at depth {K} but {reason}" if decisive
+            else verdict.note or f"stopped at depth {K} ({reason}, no depth left)")
+    return replace(verdict, decision=Decision.INCONCLUSIVE, trace=tuple(reports), note=note)

@@ -221,7 +221,7 @@ class Expression:
     """A parsed expression, compiled once and callable at any real index."""
 
     text: str
-    ast: Node
+    ast: Node = field(repr=False, compare=False)  # fixed by the text
     fn: Callable[[float], float] = field(repr=False, compare=False)
 
     def __call__(self, n: float) -> float:

@@ -2,20 +2,21 @@
 
 A report is a plain JSON-compatible document: the echoed input (enough to
 re-run the exact analysis), the verdict or simulation results with their
-evidence, the tool version, and a timing field.  Two runs of the same
-analysis produce byte-identical JSON except for ``timing_ms``; numbers are
-serialized with full round-trip precision, and a non-finite number (an
-infinite coefficient, a NaN sample) as ``null``, since JSON has no NaN or
-Infinity.
+evidence, the tool version, and a timing field, left out when the report
+has no timing.  Two runs of the same analysis produce byte-identical JSON
+except for ``timing_ms``; numbers are serialized with full round-trip
+precision, and a non-finite number (an infinite coefficient, a NaN sample)
+as ``null``, since JSON has no NaN or Infinity.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any
 
+from . import __version__
 from .birthdeath import Classification
 from .convergence import Verdict
 from .walk import RWClassification, SimulationReport
@@ -24,36 +25,27 @@ SCHEMA_VERSION = 1
 TOOL_NAME = "demorgan"
 
 
-def _tool_info() -> dict[str, Any]:
-    from . import __version__
-
-    return {"name": TOOL_NAME, "version": __version__}
-
-
 @dataclass
 class Report:
     mode: str  # series | bdp | rwalk | simulate | iterlog
     input: dict[str, Any]
     result: dict[str, Any]
-    timing_ms: float | None = None
-    schema_version: int = SCHEMA_VERSION
-    tool: dict[str, Any] = field(default_factory=_tool_info)
+    timing_ms: float | None = None  # None leaves the field out
 
-    def to_dict(self, include_timing: bool = True) -> dict[str, Any]:
+    def to_dict(self) -> dict[str, Any]:
         doc = {
-            "schema_version": self.schema_version,
-            "tool": self.tool,
+            "schema_version": SCHEMA_VERSION,
+            "tool": {"name": TOOL_NAME, "version": __version__},
             "mode": self.mode,
             "input": self.input,
             "result": self.result,
         }
-        if include_timing:
+        if self.timing_ms is not None:
             doc["timing_ms"] = self.timing_ms
         return doc
 
-    def to_json(self, indent: int | None = 2, include_timing: bool = True) -> str:
-        doc = _finite_or_null(self.to_dict(include_timing=include_timing))
-        return json.dumps(doc, indent=indent, allow_nan=False)
+    def to_json(self) -> str:
+        return json.dumps(_finite_or_null(self.to_dict()), indent=2, allow_nan=False)
 
 
 def _finite_or_null(value: Any) -> Any:

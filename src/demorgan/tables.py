@@ -54,30 +54,21 @@ def parse_rows(lines: Iterable[str]) -> list[tuple[int, float]]:
 def ratio_spec_from_rows(rows: Sequence[tuple[int, float]], kind: str, label: str = "") -> RatioSpec:
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    values = dict(rows)
-    if kind == "terms":
-        support = tuple(n for n, _ in rows if n + 1 in values)
-        if not support:
-            raise ValueError("no adjacent index pairs; cannot form any ratio")
+    if kind == "ratios":
+        ratios = dict(rows)
+    else:  # a_n/a_{n+1} over adjacent indices; rows are strictly increasing
+        ratios = {n: a / b for (n, a), (m, b) in zip(rows, rows[1:]) if m == n + 1}
+    if not ratios:
+        raise ValueError("no adjacent index pairs; cannot form any ratio")
 
-        def ratio(n: int) -> float:
-            if n not in values or n + 1 not in values:
-                raise DomainError(f"no tabulated ratio at n={n}")
-            return values[n] / values[n + 1]
+    def ratio(n: int) -> float:
+        if n not in ratios:
+            raise DomainError(f"no tabulated ratio at n={n}")
+        return ratios[n]
 
-        delta = None
-    else:
-        support = tuple(n for n, _ in rows)
-
-        def ratio(n: int) -> float:
-            if n not in values:
-                raise DomainError(f"no tabulated ratio at n={n}")
-            return values[n]
-
-        delta = None
+    support = tuple(ratios)
     return RatioSpec(
         ratio=ratio,
-        delta=delta,
         first_index=support[0],
         last_index=support[-1],
         support=support,

@@ -1,11 +1,11 @@
 """Extended-precision mirrors of the core evaluations, backed by mpmath.
 
 The float implementations in :mod:`demorgan.iterlog` and
-:mod:`demorgan.convergence` are the production path.  This module is the
-oracle mode: the same quantities computed in software multiprecision, used
-by the test suite wherever double precision would sit too close to the
-quantity being measured (expansion residuals, coefficient extraction at
-n = 10**6, Kummer-reduction gaps).
+:mod:`demorgan.convergence` are the production path.  This test-side module
+is the oracle: the same quantities computed in software multiprecision,
+used wherever double precision would sit too close to the quantity being
+measured (expansion residuals, coefficient extraction at n = 10**6,
+Kummer-reduction gaps).  The package never imports it.
 
 Callables passed in must accept an int and return an ``mpmath.mpf`` (plain
 floats are also fine; they convert exactly).
@@ -17,8 +17,8 @@ from typing import Callable
 
 import mpmath as mp
 
-from .errors import DomainError
-from .iterlog import min_domain
+from demorgan.errors import DomainError
+from demorgan.iterlog import min_domain
 
 DEFAULT_DPS = 50
 

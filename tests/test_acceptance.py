@@ -14,7 +14,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from demorgan import hp, walk
+from demorgan import walk
 from demorgan.birthdeath import Fate, bdp_classify
 from demorgan.convergence import (
     Decision,
@@ -34,6 +34,8 @@ from demorgan.families import (
 )
 from demorgan.iterlog import min_domain, zeta_weight
 from demorgan.walk import simulate
+
+import oracle as hp
 
 
 def _line(num: int, name: str, passed: bool, detail: str) -> None:

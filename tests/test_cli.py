@@ -1,9 +1,15 @@
 """CLI subcommands, exit codes, report structure and determinism."""
 
+import ast
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import demorgan
 from demorgan import walk
 from demorgan.cli import main
 
@@ -360,3 +366,18 @@ class TestUsage:
                 "--samples", str(cfg["samples"]), "--no-timing"]
         code2, doc2 = run_json(capsys, *argv)
         assert doc2["result"] == doc["result"]
+
+
+def test_cli_loads_no_oracle_module():
+    # The extended-precision oracle lives on the test side; a fresh
+    # interpreter that imports the CLI loads exactly these package modules.
+    code = ("import sys, demorgan.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('demorgan')))")
+    src = str(Path(demorgan.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
+    assert ast.literal_eval(proc.stdout) == [
+        "demorgan", "demorgan.birthdeath", "demorgan.cli", "demorgan.convergence",
+        "demorgan.errors", "demorgan.expr", "demorgan.families", "demorgan.iterlog",
+        "demorgan.report", "demorgan.tables", "demorgan.walk",
+    ]

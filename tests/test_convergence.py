@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demorgan import hp
 from demorgan.convergence import (
     ClassifyConfig,
     Decision,
@@ -34,6 +33,8 @@ from demorgan.families import (
 )
 from demorgan.iterlog import INDEX_LIMIT, iterlog_product, min_domain, zeta_weight
 from demorgan.tables import ratio_spec_from_rows
+
+import oracle as hp
 
 
 def harmonic_spec() -> RatioSpec:
@@ -402,6 +403,46 @@ class TestAdaptive:
         v = adaptive_classify(spec, ClassifyConfig(window_hi=10_000))
         assert v.decision is Decision.INCONCLUSIVE
         assert v.level == 1
+
+
+class TestAdaptiveExits:
+    """The note and trace of every way the adaptive walk stops undecided."""
+
+    def test_band_escalation_with_no_depth_left(self):
+        v = adaptive_classify(log_power(1.0).ratio_spec, ClassifyConfig(k_max=1))
+        assert v.decision is Decision.INCONCLUSIVE
+        assert v.level == 1
+        assert v.note == "stopped at depth 1 (tail hovers near the critical value, no depth left)"
+        assert [r.escalated for r in v.trace] == ["tail hovers near the critical value"]
+
+    def test_failed_guard_with_no_depth_left(self):
+        v = adaptive_classify(iterlog_power(2, 0.5).ratio_spec, ClassifyConfig(k_max=2))
+        assert v.decision is Decision.INCONCLUSIVE
+        assert v.level == 2
+        assert v.note == "decisive at depth 2 but next-level growth check failed"
+        assert [(r.level, r.decision) for r in v.trace] == [
+            (1, Decision.CONVERGES), (2, Decision.CONVERGES)]
+        assert [r.guard.passed for r in v.trace] == [False, False]
+        assert all(r.escalated == "next-level growth check failed" for r in v.trace)
+
+    def test_next_depth_without_a_window(self):
+        v = adaptive_classify(iterlog_power(2, 1.0).ratio_spec,
+                              ClassifyConfig(window_hi=1_000_000))
+        assert v.decision is Decision.INCONCLUSIVE
+        assert v.level == 3
+        assert len(v.trace) == 3
+        assert v.trace[-1].escalated == "tail hovers near the critical value"
+        assert v.note == ("depth 4 not reachable: no admissible window at depth 4: "
+                          "need indices above 3814280, have up to 1000000")
+
+    def test_first_depth_without_a_window(self):
+        v = adaptive_classify(RatioSpec(ratio=lambda n: 1.0 + 2.0 / n, last_index=50))
+        assert v.decision is Decision.INCONCLUSIVE
+        assert v.level == 1
+        assert v.trace == ()
+        assert v.samples == ()
+        assert v.note == ("depth 1 not reachable: no admissible window at depth 1: "
+                          "need indices above 100, have up to 50")
 
 
 class TestEscalationConsistency:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from demorgan.convergence import RatioSpec
 from demorgan.errors import DomainError, EvalError, ExpressionSyntaxError
 from demorgan.expr import parse_expression
 from demorgan.iterlog import iterlog
@@ -373,3 +374,13 @@ class TestCompiler:
             total = total + c / 7.0 if op == "+" else total - c / 7.0
         assert parse_expression(text)(7).hex() == total.hex()
         assert parse_expression("+".join(["n"] * 3000))(5) == 15_000.0
+
+    def test_long_sum_has_repr_equality_and_hash(self):
+        # The text fixes the AST, so repr, == and hash leave the deep tuple out.
+        text = "+".join(["n"] * 3000)
+        a, b = parse_expression(text), parse_expression(text)
+        assert repr(a) == f"Expression(text={text!r})"
+        assert a == b and hash(a) == hash(b)
+        assert a != parse_expression(text + "+n")
+        spec = RatioSpec(ratio=a, delta=b, first_index=1)
+        assert repr(a) in repr(spec)

@@ -61,6 +61,29 @@ class TestRatioSpecs:
         with pytest.raises(DomainError):
             spec.ratio(2)
 
+    def test_terms_ratios_are_adjacent_quotients_bit_for_bit(self):
+        rows = [(n, math.exp(-0.37 * n) * (1.0 + math.sin(n) / 3.0)) for n in range(3, 40)]
+        rows += [(n, 1.0 / (n * math.log(n) ** 2)) for n in range(45, 90, 2)]
+        rows += [(n, 1.0 / n**3) for n in range(90, 120)]
+        spec = ratio_spec_from_rows(rows, "terms")
+        values = dict(rows)
+        expected = [n for n, _ in rows if n + 1 in values]
+        assert spec.support == tuple(expected)
+        for n in expected:
+            assert spec.ratio(n).hex() == (values[n] / values[n + 1]).hex(), n
+
+    @pytest.mark.parametrize("kind,missing", [
+        ("terms", 2), ("terms", 3), ("terms", 6), ("terms", 0), ("ratios", 3), ("ratios", 7),
+    ])
+    def test_untabulated_index_has_no_ratio(self, kind, missing):
+        spec = ratio_spec_from_rows([(1, 1.0), (2, 0.5), (4, 0.25), (5, 0.2), (6, 0.1)], kind)
+        with pytest.raises(DomainError, match=rf"^no tabulated ratio at n={missing}$"):
+            spec.ratio(missing)
+
+    def test_no_adjacent_pair_rejected(self):
+        with pytest.raises(ValueError, match="no adjacent index pairs"):
+            ratio_spec_from_rows([(1, 1.0), (3, 0.5), (5, 0.25)], "terms")
+
     def test_classification_from_table(self):
         # Tabulated 1/n^2 over a short range still classifies decisively.
         rows = terms_rows(lambda n: 1.0 / n**2, 2, 3000)
