@@ -19,7 +19,6 @@ from .birthdeath import (
 from .convergence import (
     ClassifyConfig,
     Decision,
-    ExtractionSample,
     KummerWeight,
     RatioSpec,
     Verdict,
@@ -53,7 +52,6 @@ from .walk import (
     DriftSpec,
     RWClassification,
     SimulationReport,
-    WalkFate,
     rw_classify,
     rw_to_bdp,
     simulate,
@@ -73,7 +71,6 @@ __all__ = [
     "EvalError",
     "Expression",
     "ExpressionSyntaxError",
-    "ExtractionSample",
     "Fate",
     "InvalidDrift",
     "InvalidWindow",
@@ -84,7 +81,6 @@ __all__ = [
     "SimulationReport",
     "UnsupportedLevel",
     "Verdict",
-    "WalkFate",
     "adaptive_classify",
     "bdp_classify",
     "expansion_increment",

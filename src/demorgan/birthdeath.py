@@ -37,7 +37,6 @@ class BirthDeathRates:
     mu: Callable[[int], float]
     first_index: int = 1
     ratio_delta: Callable[[int], float] | None = None
-    label: str = ""
 
     def rates_at(self, n: int) -> tuple[float, float]:
         lam = float(self.lam(n))
@@ -83,7 +82,6 @@ def recurrence_ratio(rates: BirthDeathRates) -> RatioSpec:
         ratio=ratio,
         delta=delta,
         first_index=max(rates.first_index, 1),
-        label=rates.label or "birth-death ratio",
     )
 
 

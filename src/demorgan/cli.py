@@ -42,7 +42,6 @@ from .report import (
     Report,
     classification_to_dict,
     rw_classification_to_dict,
-    simulation_to_dict,
     verdict_to_dict,
 )
 from .tables import KINDS, load_table
@@ -197,7 +196,7 @@ def _reject_unread(args: argparse.Namespace, readers: dict[str, tuple[str, ...]]
             raise _UsageError(f"{flag} applies only to {users}")
 
 
-def _probe_first_index(term, label: str) -> int:
+def _probe_first_index(term, text: str) -> int:
     for n in range(1, _PROBE_LIMIT + 1):
         try:
             if term(n) > 0.0 and term(n + 1) > 0.0:
@@ -205,7 +204,7 @@ def _probe_first_index(term, label: str) -> int:
         except EvalError:
             continue
     raise _UsageError(
-        f"could not find an index n <= {_PROBE_LIMIT} where {label!r} is positive; "
+        f"could not find an index n <= {_PROBE_LIMIT} where {text!r} is positive; "
         f"pass --first-index explicitly"
     )
 
@@ -233,7 +232,7 @@ def _series_source(args: argparse.Namespace) -> tuple[RatioSpec, dict[str, Any]]
     if args.a_n is not None:
         term = parse_expression(args.a_n)
         first = args.first_index or _probe_first_index(term, args.a_n)
-        spec = RatioSpec(ratio=_term_ratio(term), first_index=first, label=f"a_n = {args.a_n}")
+        spec = RatioSpec(ratio=_term_ratio(term), first_index=first)
         return spec, {"kind": "expression", "quantity": "a_n", "text": args.a_n,
                       "first_index": first}
     if args.delta_n is not None:
@@ -243,8 +242,7 @@ def _series_source(args: argparse.Namespace) -> tuple[RatioSpec, dict[str, Any]]
             return 1.0 + delta(n)
 
         first = args.first_index or _probe_first_index(ratio, args.delta_n)
-        spec = RatioSpec(ratio=ratio, delta=delta, first_index=first,
-                         label=f"delta_n = {args.delta_n}")
+        spec = RatioSpec(ratio=ratio, delta=delta, first_index=first)
         return spec, {"kind": "expression", "quantity": "delta_n", "text": args.delta_n,
                       "first_index": first}
     kind = args.table_kind or "terms"
@@ -268,7 +266,6 @@ def _rates_source(args: argparse.Namespace) -> tuple[BirthDeathRates, dict[str, 
     first = args.first_index or 1  # the parser rejects indices below 1
     rates = BirthDeathRates(
         lam=parse_expression(args.lam), mu=parse_expression(args.mu), first_index=first,
-        label=f"lambda = {args.lam}, mu = {args.mu}",
     )
     return rates, {"kind": "expression", "lambda": args.lam, "mu": args.mu,
                    "first_index": first}
@@ -283,7 +280,7 @@ def _drift_source(args: argparse.Namespace) -> tuple[DriftSpec, dict[str, Any]]:
         fam = make_walk_family("alpha-const", a=args.alpha_const)
         return fam.drift, {"kind": "family", "family": fam.name, "params": fam.params}
     cap = 1.0 if args.C is None else args.C
-    drift = DriftSpec(alpha=parse_expression(args.alpha), C=cap, label=f"alpha = {args.alpha}")
+    drift = DriftSpec(alpha=parse_expression(args.alpha), C=cap)
     return drift, {"kind": "expression", "alpha": args.alpha, "C": cap}
 
 
@@ -308,7 +305,7 @@ def _run_simulate(args) -> tuple:
         "simulate",
         {"source": echo, "seed": args.seed, "paths": args.paths, "horizon": args.horizon},
         lambda: simulate(drift, seed=args.seed, horizon=args.horizon, n_paths=args.paths),
-        simulation_to_dict,
+        asdict,
     )
 
 

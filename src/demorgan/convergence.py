@@ -64,7 +64,6 @@ class RatioSpec:
     delta: Callable[[int], float] | None = None
     last_index: int | None = None
     support: tuple[int, ...] | None = None
-    label: str = ""
 
     def ratio_at(self, n: int) -> float:
         r = float(self.ratio(n))
@@ -86,7 +85,6 @@ class KummerWeight:
     zeta: Callable[[int], float]
     reciprocal_sum_diverges: bool
     first_index: int = 1
-    label: str = ""
 
     @classmethod
     def from_level(cls, K: int) -> "KummerWeight":
@@ -94,7 +92,6 @@ class KummerWeight:
             zeta=lambda n: zeta_weight(K, n),
             reciprocal_sum_diverges=True,
             first_index=min_domain(K),
-            label=f"zeta(K={K})",
         )
 
     def zeta_at(self, n: int) -> float:
@@ -105,16 +102,9 @@ class KummerWeight:
 
 
 @dataclass(frozen=True)
-class ExtractionSample:
-    """One extracted s_n, flagged when cancellation ate its bits."""
-
-    n: int
-    s: float
-    precision_warning: bool = False
-
-
-@dataclass(frozen=True)
 class SamplePoint:
+    """One sampled statistic; not ``usable`` when it raised or cancellation ate its bits."""
+
     n: int
     value: float
     usable: bool
@@ -300,23 +290,25 @@ def kummer_test(
     )
 
 
-def extract_sn(K: int, ratio: RatioSpec, n: int, use_delta: bool = True) -> ExtractionSample:
+def extract_sn(K: int, ratio: RatioSpec, n: int, use_delta: bool = True) -> SamplePoint:
     """Solve the depth-K ratio expansion for the coefficient s_n.
 
     s_n = [delta(n) - 1/n - sum_{i=1}^{K-1} 1/(n * prod_(i))] * zeta_K(n),
     with delta(n) := ratio(n) - 1 when no exact delta form is supplied.  The
-    empty sum at K = 1 contributes nothing.  ``precision_warning`` is set
-    when the subtraction chain, starting from a raw ratio, lost more than
-    half the significand.  This is one call of a fresh :func:`_sampler`,
-    through which the fixed-depth and adaptive tests evaluate the source
-    once per sampled index per verdict.
+    empty sum at K = 1 contributes nothing.  The result is the
+    ``SamplePoint(n, s_n, usable)`` that a depth-K test records at n;
+    ``usable`` is False when the subtraction chain, starting from a raw
+    ratio, lost more than half the significand.  This is one call of a
+    fresh :func:`_sampler`, through which the fixed-depth and adaptive tests
+    evaluate the source once per sampled index per verdict.
     """
     lo = max(ratio.first_index, min_domain(K))
     if n < lo:
         raise DomainError(f"extract_sn: n={n} below first admissible index {lo} at depth {K}")
     if ratio.last_index is not None and n > ratio.last_index:
         raise DomainError(f"extract_sn: n={n} beyond ratio domain end {ratio.last_index}")
-    return ExtractionSample(n, *_sampler(ratio, use_delta)(K, n))
+    s, unusable = _sampler(ratio, use_delta)(K, n)
+    return SamplePoint(n, s, not unusable)
 
 
 def _sampler(ratio: RatioSpec, use_delta: bool) -> Callable[[int, int], tuple[float, bool]]:

@@ -30,18 +30,13 @@ from .convergence import Decision, RatioSpec
 from .errors import DomainError
 from .expr import parse_expression
 from .iterlog import K_MAX_NUMERIC, _check_index, min_domain
-from .walk import DriftSpec, WalkFate
+from .walk import DriftSpec
 
 
 @dataclass(frozen=True)
 class _Family:
     name: str
     params: dict[str, float]
-
-    @property
-    def label(self) -> str:
-        inner = ", ".join(f"{k}={v:g}" for k, v in self.params.items())
-        return f"{self.name}({inner})"
 
 
 @dataclass(frozen=True)
@@ -103,7 +98,6 @@ def _log_scale(name: str, depth: int, params: dict[str, float]) -> SeriesFamily:
         ratio_spec=RatioSpec(
             ratio=_term_ratio(parse_expression(expression)), delta=delta,
             first_index=1 if depth < 0 else min_domain(depth + 1),
-            label=_Family(name, params).label,
         ),
         truth=Decision.CONVERGES if r > 1 else Decision.DIVERGES,
         hp_term=hp_term,
@@ -145,8 +139,7 @@ def geometric(x: float) -> SeriesFamily:
         name="geometric",
         params={"x": x},
         expression=expression,
-        ratio_spec=RatioSpec(ratio=ratio, delta=delta, first_index=1,
-                             label=f"geometric(x={x:g})"),
+        ratio_spec=RatioSpec(ratio=ratio, delta=delta, first_index=1),
         truth=Decision.CONVERGES if x < 1 else Decision.DIVERGES,
         hp_term=hp_term,
     )
@@ -219,7 +212,6 @@ def bd_power(c: float) -> RateFamily:
         mu=lambda n: 1.0,
         first_index=1,
         ratio_delta=lambda n: c / n,
-        label=f"bd-power(c={c:g})",
     )
     return RateFamily(
         name="bd-power", params={"c": c}, rates=rates,
@@ -229,9 +221,7 @@ def bd_power(c: float) -> RateFamily:
 
 def bd_log(c: float) -> RateFamily:
     """lambda/mu = 1 + 1/n + c/(n ln n), bd-iterlog at depth 1; transient iff c > 1."""
-    fam = bd_iterlog(1, c)
-    return replace(fam, name="bd-log", params={"c": c},
-                   rates=replace(fam.rates, label=f"bd-log(c={c:g})"))
+    return replace(bd_iterlog(1, c), name="bd-log", params={"c": c})
 
 
 def bd_iterlog(depth: int, c: float) -> RateFamily:
@@ -263,7 +253,6 @@ def bd_iterlog(depth: int, c: float) -> RateFamily:
         mu=lambda n: 1.0,
         first_index=first,
         ratio_delta=delta,
-        label=f"bd-iterlog(K={depth}, c={c:g})",
     )
     return RateFamily(
         name="bd-iterlog", params={"K": depth, "c": c}, rates=rates,
@@ -289,7 +278,7 @@ def make_rate_family(name: str, **params: float) -> RateFamily:
 @dataclass(frozen=True)
 class WalkFamily(_Family):
     drift: DriftSpec
-    truth: WalkFate
+    truth: Fate
 
 
 def alpha_const(a: float) -> WalkFamily:
@@ -301,10 +290,10 @@ def alpha_const(a: float) -> WalkFamily:
     """
     if not (math.isfinite(a) and 0.0 < a < 0.5):
         raise ValueError(f"need 0 < a < 1/2, got {a}")
-    drift = DriftSpec(alpha=lambda n: a, C=0.5, label=f"alpha-const(a={a:g})")
+    drift = DriftSpec(alpha=lambda n: a, C=0.5)
     return WalkFamily(
         name="alpha-const", params={"a": a}, drift=drift,
-        truth=WalkFate.TRANSIENT if a > 0.25 else WalkFate.RECURRENT,
+        truth=Fate.TRANSIENT if a > 0.25 else Fate.RECURRENT,
     )
 
 
@@ -335,10 +324,10 @@ def alpha_threshold(depth: int, c: float) -> WalkFamily:
         value *= 0.25
         return min(value, 0.999 * min(cap, 0.5 * n))
 
-    drift = DriftSpec(alpha=alpha, C=cap, label=f"alpha-threshold(K={depth}, c={c:g})")
+    drift = DriftSpec(alpha=alpha, C=cap)
     return WalkFamily(
         name="alpha-threshold", params={"K": depth, "c": c}, drift=drift,
-        truth=WalkFate.TRANSIENT if c > 1 else WalkFate.RECURRENT,
+        truth=Fate.TRANSIENT if c > 1 else Fate.RECURRENT,
     )
 
 

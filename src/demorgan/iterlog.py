@@ -32,11 +32,11 @@ def _check_index(n: int) -> None:
         raise DomainError(f"index {n} >= 2**53 cannot be converted to float exactly")
 
 
-def _check_level(k: int, *, minimum: int = 1) -> None:
+def _check_level(k: int) -> None:
     if isinstance(k, bool) or not isinstance(k, int):
         raise DomainError(f"level must be an integer, got {k!r}")
-    if k < minimum:
-        raise DomainError(f"level must be >= {minimum}, got {k}")
+    if k < 1:
+        raise DomainError(f"level must be >= 1, got {k}")
     if k > K_MAX_NUMERIC:
         raise UnsupportedLevel(
             f"level {k} exceeds K_MAX_NUMERIC={K_MAX_NUMERIC}; "
@@ -53,12 +53,9 @@ def iterlog(k: int, x: float) -> float:
     Raises DomainError if any intermediate value (including x itself) is <= 0.
     """
     _check_level(k)
-    if isinstance(x, int):
-        if abs(x) >= INDEX_LIMIT:
-            raise DomainError(f"integer argument {x} is too large for exact float conversion")
-        v = float(x)
-    else:
-        v = float(x)
+    if isinstance(x, int) and abs(x) >= INDEX_LIMIT:
+        raise DomainError(f"integer argument {x} is too large for exact float conversion")
+    v = float(x)
     if math.isnan(v) or math.isinf(v):
         raise DomainError(f"argument must be finite, got {v}")
     for i in range(k):

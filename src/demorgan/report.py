@@ -19,7 +19,7 @@ from typing import Any
 from . import __version__
 from .birthdeath import Classification
 from .convergence import Verdict
-from .walk import RWClassification, SimulationReport
+from .walk import RWClassification
 
 SCHEMA_VERSION = 1
 TOOL_NAME = "demorgan"
@@ -99,7 +99,3 @@ def rw_classification_to_dict(c: RWClassification) -> dict[str, Any]:
         "decision": c.decision.value,
         "chain": classification_to_dict(c.chain),
     }
-
-
-def simulation_to_dict(r: SimulationReport) -> dict[str, Any]:
-    return asdict(r)

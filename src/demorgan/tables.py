@@ -51,7 +51,7 @@ def parse_rows(lines: Iterable[str]) -> list[tuple[int, float]]:
     return rows
 
 
-def ratio_spec_from_rows(rows: Sequence[tuple[int, float]], kind: str, label: str = "") -> RatioSpec:
+def ratio_spec_from_rows(rows: Sequence[tuple[int, float]], kind: str) -> RatioSpec:
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     if kind == "ratios":
@@ -72,11 +72,10 @@ def ratio_spec_from_rows(rows: Sequence[tuple[int, float]], kind: str, label: st
         first_index=support[0],
         last_index=support[-1],
         support=support,
-        label=label or f"table[{kind}]",
     )
 
 
-def load_table(path: str | Path, kind: str, label: str = "") -> RatioSpec:
+def load_table(path: str | Path, kind: str) -> RatioSpec:
     text = Path(path).read_text()
     rows = parse_rows(text.splitlines())
-    return ratio_spec_from_rows(rows, kind, label=label or f"table[{kind}]:{path}")
+    return ratio_spec_from_rows(rows, kind)

@@ -42,13 +42,12 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .birthdeath import BirthDeathRates, Classification, bdp_classify
+from .birthdeath import BirthDeathRates, Classification, Fate, bdp_classify
 from .convergence import ClassifyConfig
 from .errors import EvalError, InvalidDrift
 
@@ -110,19 +109,16 @@ def path_seed(master_seed: int, path_index: int) -> int:
     return mix64((master_seed + (path_index + 1) * GAMMA) & _MASK64)
 
 
-class WalkFate(str, Enum):
-    RECURRENT = "recurrent"
-    TRANSIENT = "transient"
-    INCONCLUSIVE = "inconclusive"
-
-
 @dataclass(frozen=True)
 class DriftSpec:
-    """Drift supplier alpha(n) for integer positions n >= 1, with cap C."""
+    """Drift supplier alpha(n) for integer positions n >= 1, with cap C > 0 (inf: no cap)."""
 
     alpha: Callable[[int], float]
     C: float
-    label: str = ""
+
+    def __post_init__(self):
+        if not self.C > 0:
+            raise ValueError(f"C must be positive, got {self.C}")
 
     def alpha_at(self, n: int) -> float:
         a = float(self.alpha(n))
@@ -136,7 +132,7 @@ class DriftSpec:
 
 @dataclass(frozen=True)
 class RWClassification:
-    decision: WalkFate
+    decision: Fate
     chain: Classification
 
 
@@ -194,13 +190,12 @@ def rw_to_bdp(spec: DriftSpec) -> BirthDeathRates:
 
     return BirthDeathRates(
         lam=lam, mu=mu, first_index=1, ratio_delta=ratio_delta,
-        label=spec.label or "walk-induced chain",
     )
 
 
 def rw_classify(spec: DriftSpec, config: ClassifyConfig | None = None) -> RWClassification:
     chain = bdp_classify(rw_to_bdp(spec), config)
-    return RWClassification(decision=WalkFate(chain.decision.value), chain=chain)
+    return RWClassification(decision=chain.decision, chain=chain)
 
 
 def _check_run_args(seed: int, horizon: int, n_paths: int) -> None:

@@ -53,7 +53,7 @@ def test_criterion_01_catalog_soundness():
             continue
         decisive += 1
         if verdict.decision is not fam.truth:
-            wrong.append((fam.label, verdict.decision.value))
+            wrong.append(((fam.name, fam.params), verdict.decision.value))
     elapsed = time.perf_counter() - t0
     ok = not wrong and decisive >= 10 and elapsed < 60.0
     _line(1, "catalog soundness", ok,
@@ -74,12 +74,12 @@ def test_criterion_02_coefficient_limit_recovery():
 
         with mp.workdps(50):
             s = float(hp.extract_coefficient(depth, n, delta_mp))
-        results.append((fam.label, depth, s))
+        results.append(((fam.name, fam.params), depth, s))
     ok = all(abs(s - 2.0) <= 0.05 for _, _, s in results)
     _line(2, "coefficient limit recovery", ok,
-          "; ".join(f"{label} depth {d}: s={s:.6f}" for label, d, s in results))
-    for label, depth, s in results:
-        assert abs(s - 2.0) <= 0.05, (label, depth, s)
+          "; ".join(f"{which} depth {d}: s={s:.6f}" for which, d, s in results))
+    for which, depth, s in results:
+        assert abs(s - 2.0) <= 0.05, (which, depth, s)
 
 
 def test_criterion_03_kummer_reduction():
@@ -100,8 +100,8 @@ def test_criterion_03_kummer_reduction():
                 rho = hp.kummer_rho_level(2, n, ratio_mp)
                 s = hp.extract_coefficient(2, n, delta_mp)
                 gaps.append(abs(float(rho - (s - 1))))
-        assert all(b < a for a, b in zip(gaps, gaps[1:])), (fam.label, gaps)
-        assert gaps[-1] < 0.02, (fam.label, gaps[-1])
+        assert all(b < a for a, b in zip(gaps, gaps[1:])), (fam.name, fam.params, gaps)
+        assert gaps[-1] < 0.02, (fam.name, fam.params, gaps[-1])
         worst_final = max(worst_final, gaps[-1])
     _line(3, "kummer reduction", True, f"worst final gap {worst_final:.2e}")
 
@@ -183,15 +183,16 @@ def test_criterion_06_birth_death_criterion():
 
 
 def test_criterion_07_walk_thresholds():
-    from demorgan.walk import WalkFate, rw_classify
+    from demorgan.birthdeath import Fate
+    from demorgan.walk import rw_classify
 
-    expected = {0.4: WalkFate.TRANSIENT, 0.1: WalkFate.RECURRENT, 0.25: WalkFate.RECURRENT}
+    expected = {0.4: Fate.TRANSIENT, 0.1: Fate.RECURRENT, 0.25: Fate.RECURRENT}
     got = {}
     for a, want in expected.items():
         result = rw_classify(alpha_const(a).drift)
         got[a] = result.decision
         assert result.decision is want, (a, result.decision)
-        assert result.decision is not WalkFate.INCONCLUSIVE
+        assert result.decision is not Fate.INCONCLUSIVE
     _line(7, "walk thresholds", True,
           ", ".join(f"alpha={a}: {d.value}" for a, d in got.items()))
 
@@ -240,15 +241,15 @@ def test_criterion_09_reconstruction_round_trip():
 
         raw = extract_sn(K, spec, n, use_delta=False)
         target = spec.ratio_at(n)
-        ulps = abs(reconstruct_ratio(K, raw.s, n) - target) / math.ulp(target)
+        ulps = abs(reconstruct_ratio(K, raw.value, n) - target) / math.ulp(target)
         worst = max(worst, ulps)
-        assert ulps <= 8.0, ("raw", fam.label, K, n, ulps)
+        assert ulps <= 8.0, ("raw", fam.name, fam.params, K, n, ulps)
 
         viadelta = extract_sn(K, spec, n)
         target_d = 1.0 + spec.delta(n)
-        ulps_d = abs(reconstruct_ratio(K, viadelta.s, n) - target_d) / math.ulp(target_d)
+        ulps_d = abs(reconstruct_ratio(K, viadelta.value, n) - target_d) / math.ulp(target_d)
         worst = max(worst, ulps_d)
-        assert ulps_d <= 8.0, ("delta", fam.label, K, n, ulps_d)
+        assert ulps_d <= 8.0, ("delta", fam.name, fam.params, K, n, ulps_d)
         checked += 1
     _line(9, "reconstruction round trip", True,
           f"{checked} triples, both routes, worst {worst:.2f} ulps")

@@ -230,6 +230,12 @@ class TestClassifyWalk:
         code, out, err = run(capsys, command, "--alpha-const", "0.3", "--C", "5")
         assert code == 1 and "--C" in err and out == ""
 
+    @pytest.mark.parametrize("cap", ["0", "-1", "nan"])
+    def test_non_positive_cap_exits_one(self, capsys, cap):
+        code, out, err = run(capsys, "classify-walk", "--alpha", "0.1", "--C", cap)
+        assert code == 1 and out == ""
+        assert err.startswith("error: C must be positive, got ")
+
 
 class TestSimulateWalk:
     def test_deterministic_report(self, capsys):
@@ -368,14 +374,23 @@ class TestUsage:
         assert doc2["result"] == doc["result"]
 
 
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    src = str(Path(demorgan.__file__).resolve().parent.parent)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
+
+
+def test_export_list_resolves():
+    assert all(hasattr(demorgan, name) for name in demorgan.__all__)
+    assert len(set(demorgan.__all__)) == len(demorgan.__all__)
+    _fresh_python("from demorgan import *")
+
+
 def test_cli_loads_no_oracle_module():
     # The extended-precision oracle lives on the test side; a fresh
     # interpreter that imports the CLI loads exactly these package modules.
-    code = ("import sys, demorgan.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('demorgan')))")
-    src = str(Path(demorgan.__file__).resolve().parent.parent)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
+    proc = _fresh_python("import sys, demorgan.cli; "
+                         "print(sorted(m for m in sys.modules if m.startswith('demorgan')))")
     assert ast.literal_eval(proc.stdout) == [
         "demorgan", "demorgan.birthdeath", "demorgan.cli", "demorgan.convergence",
         "demorgan.errors", "demorgan.expr", "demorgan.families", "demorgan.iterlog",

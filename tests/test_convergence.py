@@ -43,7 +43,6 @@ def harmonic_spec() -> RatioSpec:
         ratio=lambda n: (n + 1.0) / n,
         delta=lambda n: 1.0 / n,
         first_index=1,
-        label="harmonic",
     )
 
 
@@ -52,15 +51,14 @@ def inverse_square_spec() -> RatioSpec:
         ratio=lambda n: ((n + 1.0) / n) ** 2,
         delta=lambda n: (2.0 * n + 1.0) / (n * n),
         first_index=1,
-        label="1/n^2",
     )
 
 
 LINEAR_WEIGHT = KummerWeight(
-    zeta=lambda n: float(n), reciprocal_sum_diverges=True, first_index=1, label="n"
+    zeta=lambda n: float(n), reciprocal_sum_diverges=True, first_index=1
 )
 UNIT_WEIGHT = KummerWeight(
-    zeta=lambda n: 1.0, reciprocal_sum_diverges=False, first_index=1, label="1"
+    zeta=lambda n: 1.0, reciprocal_sum_diverges=False, first_index=1
 )
 
 
@@ -184,18 +182,18 @@ class TestExtraction:
     def test_harmonic_cancels_exactly(self):
         for n in (2, 17, 10_000, 9_999_991):
             sample = extract_sn(1, harmonic_spec(), n)
-            assert sample.s == 0.0
-            assert not sample.precision_warning
+            assert sample.value == 0.0
+            assert sample.usable
 
     def test_log_power_two_at_depth_one(self):
         # Frozen oracle: 2.00000107238 at n = 1e6.
-        s = extract_sn(1, log_power(2.0).ratio_spec, 10**6).s
+        s = extract_sn(1, log_power(2.0).ratio_spec, 10**6).value
         assert abs(s - 2.0) < 0.05
         assert abs(s - 2.00000107238) < 1e-6
 
     def test_log_series_at_depth_two(self):
         # Frozen oracle: 1.31289551961e-6 at n = 1e6.
-        s = extract_sn(2, log_power(1.0).ratio_spec, 10**6).s
+        s = extract_sn(2, log_power(1.0).ratio_spec, 10**6).value
         assert abs(s) < 0.1
         assert abs(s - 1.31289551961e-6) < 1e-6
 
@@ -231,8 +229,8 @@ class TestExtraction:
         n = min(int(lo * (INDEX_LIMIT / lo) ** u), INDEX_LIMIT - 1)
         sample = extract_sn(K, spec, n, use_delta)
         s, warned = _per_level_sn(K, spec, n, use_delta)
-        assert sample.s.hex() == s.hex()
-        assert sample.precision_warning == warned
+        assert sample.value.hex() == s.hex()
+        assert (not sample.usable) == warned
 
     def test_precision_warning_without_delta(self):
         # Raw ratio equal to the depth-2 boundary shape: the depth-2 bracket
@@ -240,16 +238,15 @@ class TestExtraction:
         raw = RatioSpec(
             ratio=lambda n: 1.0 + 1.0 / n + 1.0 / (n * math.log(n)),
             first_index=2,
-            label="raw boundary",
         )
         warned = extract_sn(2, raw, 10**7)
-        assert warned.precision_warning
+        assert not warned.usable
         with_delta = RatioSpec(
             ratio=lambda n: 1.0 + 1.0 / n + 1.0 / (n * math.log(n)),
             delta=lambda n: 1.0 / n + 1.0 / (n * math.log(n)),
             first_index=2,
         )
-        assert not extract_sn(2, with_delta, 10**7).precision_warning
+        assert extract_sn(2, with_delta, 10**7).usable
 
     def test_extraction_matches_extended_precision(self):
         # Float-path extraction with a delta form stays within 1e-6 of the
@@ -261,13 +258,13 @@ class TestExtraction:
         ]
         for K, fam in cases:
             n = 10**6
-            s_float = extract_sn(K, fam.ratio_spec, n).s
+            s_float = extract_sn(K, fam.ratio_spec, n).value
 
             def delta_mp(m, fam=fam):
                 return fam.hp_term(m) / fam.hp_term(m + 1) - 1
 
             s_hp = hp.extract_coefficient(K, n, delta_mp)
-            assert abs(s_float - float(s_hp)) < 1e-6, (K, fam.label)
+            assert abs(s_float - float(s_hp)) < 1e-6, (K, fam.name, fam.params)
 
 
 class TestRoundTrip:
@@ -293,13 +290,13 @@ class TestRoundTrip:
         n = min(max(n, lo), hi)
         raw = extract_sn(K, spec, n, use_delta=False)
         target = spec.ratio_at(n)
-        assert abs(reconstruct_ratio(K, raw.s, n) - target) <= 8 * math.ulp(target), (
-            fam.label, K, n,
+        assert abs(reconstruct_ratio(K, raw.value, n) - target) <= 8 * math.ulp(target), (
+            fam.name, fam.params, K, n,
         )
         viadelta = extract_sn(K, spec, n)
         target_d = 1.0 + spec.delta(n)
-        assert abs(reconstruct_ratio(K, viadelta.s, n) - target_d) <= 8 * math.ulp(target_d), (
-            fam.label, K, n,
+        assert abs(reconstruct_ratio(K, viadelta.value, n) - target_d) <= 8 * math.ulp(target_d), (
+            fam.name, fam.params, K, n,
         )
 
 
@@ -451,7 +448,7 @@ class TestEscalationConsistency:
         v = extended_bdm_test(1, spec, margin=0.2)
         assert v.decision is Decision.CONVERGES
         tail = [p for p in v.samples if p.usable and p.n >= min_domain(2)][-8:]
-        values = [extract_sn(2, spec, p.n).s for p in tail]
+        values = [extract_sn(2, spec, p.n).value for p in tail]
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_divergent_family_falls_at_next_depth(self):
@@ -459,7 +456,7 @@ class TestEscalationConsistency:
         v = extended_bdm_test(1, spec, margin=0.2)
         assert v.decision is Decision.DIVERGES
         tail = [p for p in v.samples if p.usable and p.n >= min_domain(2)][-8:]
-        values = [extract_sn(2, spec, p.n).s for p in tail]
+        values = [extract_sn(2, spec, p.n).value for p in tail]
         assert all(b < a for a, b in zip(values, values[1:]))
 
 
@@ -497,7 +494,7 @@ def _extracted(K, spec, n, use_delta):
         sample = extract_sn(K, spec, n, use_delta)
     except (DomainError, EvalError, ArithmeticError):
         return n, math.nan.hex(), False
-    return n, sample.s.hex(), not sample.precision_warning
+    return n, sample.value.hex(), sample.usable
 
 
 class _CountingDelta:

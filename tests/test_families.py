@@ -34,7 +34,7 @@ from demorgan.families import (
 )
 from demorgan.iterlog import INDEX_LIMIT, iterlog_product, min_domain
 from demorgan.convergence import RatioSpec
-from demorgan.walk import WalkFate, rw_classify
+from demorgan.walk import rw_classify
 
 
 class TestCatalogTruth:
@@ -42,7 +42,7 @@ class TestCatalogTruth:
     def test_families_classify_to_ground_truth(self, name, params):
         fam = make_series_family(name, **params)
         verdict = adaptive_classify(fam.ratio_spec)
-        assert verdict.decision is fam.truth, fam.label
+        assert verdict.decision is fam.truth, (fam.name, fam.params)
 
     def test_factory_validation(self):
         with pytest.raises(ValueError):
@@ -86,7 +86,7 @@ class TestDeltaConsistency:
         r = spec.ratio_at(n)
         d = spec.delta(n)
         budget = 8 if fam.name == "iterlog-power" else 4
-        assert abs(r - 1.0 - d) <= budget * math.ulp(r), (fam.label, n)
+        assert abs(r - 1.0 - d) <= budget * math.ulp(r), (fam.name, fam.params, n)
 
     @given(u=st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=100)
@@ -192,7 +192,7 @@ class TestExpressionAgreement:
                 assert math.isnan(b.value)
             else:
                 assert abs(a.value - b.value) <= 4 * math.ulp(max(abs(a.value), 1.0)), (
-                    fam.label, a.n,
+                    fam.name, fam.params, a.n,
                 )
 
 
@@ -219,7 +219,7 @@ class TestRateFamilies:
         spec = recurrence_ratio(fam.rates)
         lo = max(min_domain(depth), spec.first_index, 10**6)
         for n in sample_grid(lo, 10**7, 8):
-            s = extract_sn(depth, spec, n).s
+            s = extract_sn(depth, spec, n).value
             assert abs(s - c) <= 0.1, (depth, c, n, s)
 
     @pytest.mark.parametrize("make,n", [(bd_log, 1), (lambda c: bd_iterlog(3, c), 15)])
@@ -236,7 +236,7 @@ class TestRateFamilies:
 
 class TestWalkFamilies:
     @pytest.mark.parametrize("a,expected", [
-        (0.4, WalkFate.TRANSIENT), (0.25, WalkFate.RECURRENT), (0.1, WalkFate.RECURRENT),
+        (0.4, Fate.TRANSIENT), (0.25, Fate.RECURRENT), (0.1, Fate.RECURRENT),
     ])
     def test_constant_drift_thresholds(self, a, expected):
         fam = alpha_const(a)

@@ -1,14 +1,11 @@
 """Report document structure and determinism."""
 
 import json
+from dataclasses import asdict
 
 from demorgan.convergence import adaptive_classify
 from demorgan.families import log_power, alpha_const
-from demorgan.report import (
-    Report,
-    simulation_to_dict,
-    verdict_to_dict,
-)
+from demorgan.report import Report, verdict_to_dict
 from demorgan.walk import simulate
 
 
@@ -46,7 +43,7 @@ def test_reports_identical_modulo_timing():
 
 def test_simulation_document():
     rep = simulate(alpha_const(0.3).drift, seed=3, horizon=50, n_paths=10)
-    doc = simulation_to_dict(rep)
+    doc = asdict(rep)
     assert doc["returned_paths"] == rep.returned_paths
     assert doc["final_positions"]["min"] >= 0
     json.dumps(doc)

@@ -18,7 +18,6 @@ from demorgan.families import alpha_const, alpha_threshold
 from demorgan.walk import (
     GAMMA,
     DriftSpec,
-    WalkFate,
     mix64,
     path_seed,
     rw_classify,
@@ -27,7 +26,7 @@ from demorgan.walk import (
     simulate_reference,
     step_probabilities,
 )
-from demorgan.birthdeath import recurrence_ratio
+from demorgan.birthdeath import Fate, recurrence_ratio
 from demorgan.convergence import extract_sn, sample_grid
 from demorgan.iterlog import min_domain
 
@@ -56,6 +55,15 @@ class TestStepProbabilities:
         capped = DriftSpec(alpha=lambda n: 0.4, C=0.3)
         with pytest.raises(InvalidDrift):
             step_probabilities(capped, 10)
+
+    @pytest.mark.parametrize("cap", [0.0, -1.0, math.nan])
+    def test_non_positive_cap_rejected(self, cap):
+        with pytest.raises(ValueError, match=r"^C must be positive, got "):
+            DriftSpec(alpha=lambda n: 0.1, C=cap)
+
+    def test_infinite_cap_means_no_cap(self):
+        uncapped = DriftSpec(alpha=lambda n: 0.45 * n, C=math.inf)
+        assert step_probabilities(uncapped, 10)[0] == 0.5 + 0.45
 
     def test_negative_position_rejected(self):
         with pytest.raises(InvalidDrift):
@@ -118,13 +126,14 @@ class TestChainMapping:
 
 class TestClassification:
     @pytest.mark.parametrize("a,expected,max_level", [
-        (0.4, WalkFate.TRANSIENT, 1),
-        (0.1, WalkFate.RECURRENT, 1),
-        (0.25, WalkFate.RECURRENT, 1),
+        (0.4, Fate.TRANSIENT, 1),
+        (0.1, Fate.RECURRENT, 1),
+        (0.25, Fate.RECURRENT, 1),
     ])
     def test_constant_drift(self, a, expected, max_level):
         result = rw_classify(alpha_const(a).drift)
         assert result.decision is expected
+        assert result.decision is result.chain.decision
         assert result.chain.series_verdict.level <= max_level
 
     @pytest.mark.parametrize("depth,c", [(1, 0.5), (1, 2.0), (2, 0.5), (2, 2.0)])
@@ -136,12 +145,12 @@ class TestClassification:
         spec = recurrence_ratio(rw_to_bdp(fam.drift))
         lo = max(min_domain(depth), 10**6)
         for n in sample_grid(lo, 10**7, 8):
-            s = extract_sn(depth, spec, n).s
+            s = extract_sn(depth, spec, n).value
             assert abs(s - c) <= 0.15, (depth, c, n, s)
 
     @pytest.mark.parametrize("depth,c,expected", [
-        (1, 2.0, WalkFate.TRANSIENT), (1, 0.5, WalkFate.RECURRENT),
-        (2, 2.0, WalkFate.TRANSIENT), (2, 0.5, WalkFate.RECURRENT),
+        (1, 2.0, Fate.TRANSIENT), (1, 0.5, Fate.RECURRENT),
+        (2, 2.0, Fate.TRANSIENT), (2, 0.5, Fate.RECURRENT),
     ])
     def test_threshold_drift_classification(self, depth, c, expected):
         result = rw_classify(alpha_threshold(depth, c).drift)
@@ -524,7 +533,7 @@ class TestKernelLoader:
         monkeypatch.setattr(walk, "_load_kernel", lambda: walk._build_kernel(walk._KERNEL_SOURCE))
         with pytest.raises(OSError, match=match):
             simulate(spec, seed=8, horizon=300, n_paths=30)
-        assert rw_classify(spec).decision is WalkFate.TRANSIENT
+        assert rw_classify(spec).decision is Fate.TRANSIENT
         assert simulate_reference(spec, seed=8, horizon=30, n_paths=3).n_paths == 3
 
     @needs_cc
