@@ -281,7 +281,9 @@ def _drift_source(args: argparse.Namespace) -> tuple[DriftSpec, dict[str, Any]]:
         return fam.drift, {"kind": "family", "family": fam.name, "params": fam.params}
     cap = 1.0 if args.C is None else args.C
     drift = DriftSpec(alpha=parse_expression(args.alpha), C=cap)
-    return drift, {"kind": "expression", "alpha": args.alpha, "C": cap}
+    # JSON has no infinity; "inf" is what --C reads back as no cap.
+    return drift, {"kind": "expression", "alpha": args.alpha,
+                   "C": cap if math.isfinite(cap) else "inf"}
 
 
 def _run_classify(args) -> tuple:

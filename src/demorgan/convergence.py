@@ -217,6 +217,8 @@ def sample_grid(
     With explicit support, returns the supported indices in range, thinned
     geometrically when there are more than ``count`` of them.
     """
+    if count < 2:
+        raise ValueError(f"need at least 2 samples, got {count}")
     if hi <= lo:
         raise InvalidWindow(f"window [{lo}, {hi}] is empty")
     if support is not None:

@@ -26,11 +26,11 @@ is consumed per step, including the forced step out of 0.  alpha is
 evaluated only at positions a path stands on, when one first does.
 
 The simulator's kernel is C, compiled with ``cc`` on first use and cached in
-the package ``__pycache__`` or the user cache directory; it seeds each path
-of a block and runs it to the horizon before the next.  The blocks run on
-up to one thread per usable CPU, since the kernel runs without the
-interpreter lock.  Without a C compiler ``simulate`` raises OSError; the
-classifiers never need one.
+the package ``__pycache__`` or the user cache directory.  The paths split
+into one contiguous block per thread, up to one thread per usable CPU, since
+the kernel runs without the interpreter lock; a block has one path in
+flight, seeded and run to the horizon before the next.  Without a C
+compiler ``simulate`` raises OSError; the classifiers never need one.
 """
 
 from __future__ import annotations
@@ -56,16 +56,16 @@ _MIX_M1 = 0xBF58476D1CE4E5B9
 _MIX_M2 = 0x94D049BB133111EB
 _MASK64 = (1 << 64) - 1
 _U53 = 1 << 53
-# Paths per block, sharing one set of per-path state arrays; read at call time.
-_CHUNK_PATHS = 4096
 # Threads per simulation, at most one per usable CPU; read at call time.
 _THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 
 # Path-major walk kernel: runs paths i..n-1 of the block whose first path is
-# lo to the horizon, each before the next, and returns the first path that
-# stands on position len (no threshold yet), or n.  The per-path state arrays
-# let it resume there; a path that has taken no step is (re)seeded first.
+# lo to the horizon, each before the next, writing their final positions to
+# pos, and returns the first path that stands on position len (no threshold
+# yet), or n.  st[0..4] is the path in flight (state, position, steps, first
+# return, top), resumed there unless it has taken no step and is (re)seeded;
+# st[5..7] are the block's returned count, first-return sum and maximum.
 _KERNEL_SOURCE = f"""
 #include <stdint.h>
 static uint64_t mix(uint64_t z) {{
@@ -74,11 +74,10 @@ static uint64_t mix(uint64_t z) {{
     return z ^ (z >> 31);
 }}
 int64_t walk(uint64_t master, int64_t lo, int64_t i, int64_t n, int64_t horizon,
-             const uint64_t *thr, int64_t len,
-             uint64_t *state, int64_t *pos, int64_t *done, int64_t *first, int64_t *top) {{
+             const uint64_t *thr, int64_t len, int64_t *st, int64_t *pos) {{
     for (; i < n; i++) {{
-        int64_t p = pos[i], t = done[i], f = first[i], m = top[i];
-        uint64_t s = t ? state[i] : mix(master + (uint64_t)(lo + i + 1) * {GAMMA:#x}ULL);
+        int64_t t = st[2], p = t ? st[1] : 1, f = t ? st[3] : 0, m = t ? st[4] : 1;
+        uint64_t s = t ? (uint64_t)st[0] : mix(master + (uint64_t)(lo + i + 1) * {GAMMA:#x}ULL);
         while (t < horizon && p < len) {{
             s += {GAMMA:#x}ULL;
             p += (mix(s) >> 11) < thr[p] ? 1 : -1;
@@ -86,8 +85,13 @@ int64_t walk(uint64_t master, int64_t lo, int64_t i, int64_t n, int64_t horizon,
             if (p == 0 && f == 0) f = t;
             if (p > m) m = p;
         }}
-        state[i] = s; pos[i] = p; done[i] = t; first[i] = f; top[i] = m;
-        if (t < horizon) return i;
+        if (t < horizon) {{
+            st[0] = (int64_t)s; st[1] = p; st[2] = t; st[3] = f; st[4] = m;
+            return i;
+        }}
+        pos[i] = p; st[2] = 0;
+        if (f) {{ st[5]++; st[6] += f; }}
+        if (m > st[7]) st[7] = m;
     }}
     return n;
 }}
@@ -259,7 +263,7 @@ def _build_kernel(source: str):
         # several times the call itself; the kernel returns to Python once
         # per reached position.
         u64, i64, ptr = ctypes.c_uint64, ctypes.c_int64, ctypes.c_void_p
-        kernel.argtypes = [u64, i64, i64, i64, i64, ptr, i64, ptr, ptr, ptr, ptr, ptr]
+        kernel.argtypes = [u64, i64, i64, i64, i64, ptr, i64, ptr, ptr]
         kernel.restype = i64
         return kernel
     raise OSError(f"simulate needs a C compiler: cc could not build the walk kernel ({reason})")
@@ -322,42 +326,39 @@ def _run_block(
     kernel, table: _Thresholds, seed: int, lo: int, n: int, horizon: int
 ) -> tuple[int, int, int, np.ndarray, int]:
     """(returned_count, first_return_sum, max_excursion, final_positions,
-    fail_step) of paths lo..lo + n - 1.
+    fail_step) of paths lo..lo + n - 1, one path in flight at a time.
 
     Once alpha has failed at the table's end s*, the block runs on against
     the capped table; fail_step is the earliest step at which one of its
     paths stands on s*, or horizon + 1 if none does.
     """
-    # Contiguous arrays of the kernel's types, alive until it is done; the
-    # kernel seeds ``state`` itself.
-    arrays = (np.empty(n, dtype=np.uint64), np.ones(n, dtype=np.int64),
-              np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64),
-              np.ones(n, dtype=np.int64))
-    _, pos, done, first, top = arrays
-    addresses = [a.ctypes.data for a in arrays]
+    # Buffers of the kernel's types, alive until it is done; their addresses
+    # are read once, not at each return for a missing threshold.
+    st, pos = np.zeros(8, dtype=np.int64), np.empty(n, dtype=np.int64)
+    st_address, pos_address = st.ctypes.data, pos.ctypes.data
     fail_step, i = horizon + 1, 0
     address, length = table.table
-    while (i := kernel(seed, lo, i, n, horizon, address, length, *addresses)) < n:
+    while (i := kernel(seed, lo, i, n, horizon, address, length, st_address, pos_address)) < n:
         address, grown = table.grow(length)
         if grown == length:
-            fail_step = min(fail_step, int(done[i]) + 1)
+            fail_step = min(fail_step, int(st[2]) + 1)
+            st[2] = 0
             i += 1
         length = grown
-    return int(np.count_nonzero(first)), int(first.sum()), int(top.max()), pos, fail_step
+    return int(st[5]), int(st[6]), int(st[7]), pos, fail_step
 
 
 def simulate(spec: DriftSpec, seed: int, horizon: int, n_paths: int) -> SimulationReport:
     """Simulate n_paths independent trajectories from position 1.
 
     Bit-identical output for identical (seed, horizon, n_paths), whatever
-    the partition and the thread count.  The paths run in blocks of one
-    size, the last maybe shorter, of at most ``_CHUNK_PATHS`` paths and as
-    many as a multiple of the threads that run them, up to ``_THREADS``; the
-    blocks' counts, sums and maxima over their paths are combined in block
-    order once every block is done.  Each block runs in a
-    compiled C kernel, path after path, which the per-path streams allow;
-    it is built with ``cc`` on first use and cached on disk, and without a C
-    compiler this raises OSError.
+    the thread count.  The paths split into min(n_paths, ``_THREADS``)
+    contiguous blocks of sizes differing by at most one, one per thread, the
+    calling thread running the first; the blocks' counts, sums and maxima
+    over their paths are combined in block order once every block is done.
+    Each block runs in a compiled C kernel, one path in flight at a time,
+    which the per-path streams allow; it is built with ``cc`` on first use
+    and cached on disk, and without a C compiler this raises OSError.
     alpha is evaluated only at the positions paths stand on, once each and
     in increasing order, in a table shared by all blocks.  When alpha fails
     at a position s*, every block runs on to the horizon against the table
@@ -368,36 +369,28 @@ def simulate(spec: DriftSpec, seed: int, horizon: int, n_paths: int) -> Simulati
     _check_run_args(seed, horizon, n_paths)
     kernel = _load_kernel()
     table = _Thresholds(spec)
-    count = -(-n_paths // min(_CHUNK_PATHS, -(-n_paths // _THREADS)))
-    count = -(-count // min(count, _THREADS)) * min(count, _THREADS)  # as many for every thread
-    size = -(-n_paths // count)
-    starts = range(0, n_paths, size)
-    results: list = [None] * len(starts)
-    crashed: list[Exception] = []
-    blocks, take = iter(range(len(starts))), threading.Lock()
+    threads = min(n_paths, _THREADS)
+    bounds = [n_paths * j // threads for j in range(threads + 1)]
+    results: list = [None] * threads
 
-    def work() -> None:
+    def work(j: int) -> None:
         try:
-            while True:
-                with take:
-                    k = next(blocks, None)
-                if k is None:
-                    return
-                lo = starts[k]
-                results[k] = _run_block(kernel, table, seed, lo, min(size, n_paths - lo), horizon)
+            lo = bounds[j]
+            results[j] = _run_block(kernel, table, seed, lo, bounds[j + 1] - lo, horizon)
         except Exception as exc:  # raised below, after the join
-            crashed.append(exc)
+            results[j] = exc
 
-    threads = [threading.Thread(target=work) for _ in range(min(len(starts), _THREADS) - 1)]
-    for thread in threads:
-        thread.start()
+    workers = [threading.Thread(target=work, args=(j,)) for j in range(1, threads)]
+    for worker in workers:
+        worker.start()
     try:
-        work()
+        work(0)
     finally:
-        for thread in threads:
-            thread.join()
-    if crashed:
-        raise crashed[0]
+        for worker in workers:
+            worker.join()
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
     if isinstance(table.failure, InvalidDrift):
         fail_step = min(r[4] for r in results)
         raise InvalidDrift(f"{table.failure} at step {fail_step}") from table.failure

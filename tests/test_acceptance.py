@@ -205,8 +205,9 @@ def test_criterion_08_simulation_corroboration(monkeypatch):
     transient = alpha_const(0.4).drift
     rec_a = simulate(recurrent, seed=SIM_SEED, horizon=10**5, n_paths=10**4)
     rec_b = simulate(recurrent, seed=SIM_SEED, horizon=10**5, n_paths=10**4)
-    # A different partition of the paths into blocks must not change the report.
-    monkeypatch.setattr(walk, "_CHUNK_PATHS", 1111)
+    # A different partition of the paths into blocks must not change the report:
+    # three blocks of 3,334, 3,333 and 3,333 paths, one per thread.
+    monkeypatch.setattr(walk, "_THREADS", 3)
     rec_c = simulate(recurrent, seed=SIM_SEED, horizon=10**5, n_paths=10**4)
     tra = simulate(transient, seed=SIM_SEED, horizon=10**5, n_paths=10**4)
     assert rec_a == rec_b == rec_c, "reports must be bit-identical across runs/schedules"

@@ -236,6 +236,19 @@ class TestClassifyWalk:
         assert code == 1 and out == ""
         assert err.startswith("error: C must be positive, got ")
 
+    @pytest.mark.parametrize("command,run_args", [
+        ("classify-walk", ()),
+        ("simulate-walk", ("--paths", "20", "--horizon", "200", "--seed", "3")),
+    ], ids=["classify-walk", "simulate-walk"])
+    def test_uncapped_echo_reruns(self, capsys, command, run_args):
+        # The echoed cap, fed back through --C, reproduces the report.
+        argv = (command, "--alpha", "0.3", *run_args, "--format", "json", "--no-timing")
+        code, out, err = run(capsys, *argv, "--C", "inf")
+        assert code == 0 and err == ""
+        cap = strict_json(out)["input"]["source"]["C"]
+        assert cap == "inf"
+        assert run(capsys, *argv, "--C", cap) == (code, out, err)
+        assert run(capsys, *argv)[1] != out  # without --C the cap is 1.0
 
 class TestSimulateWalk:
     def test_deterministic_report(self, capsys):

@@ -631,3 +631,20 @@ class TestSampleGrid:
         for _ in range(2):
             with pytest.raises(InvalidWindow):
                 sample_grid(10, 10, 8)
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_fewer_than_two_samples_rejected(self, count):
+        message = f"^need at least 2 samples, got {count}$"
+        for support in (None, (2, 3, 4)):
+            with pytest.raises(ValueError, match=message):
+                sample_grid(1, 10, count, support=support)
+        with pytest.raises(ValueError, match=message):
+            sample_grid(100, 1000, count)
+        # Checked before the window, which is empty here.
+        with pytest.raises(ValueError, match=message):
+            sample_grid(10, 10, count)
+        spec = p_series(2.0).ratio_spec
+        with pytest.raises(ValueError, match=message):
+            extended_bdm_test(1, spec, samples=count)
+        with pytest.raises(ValueError, match=message):
+            kummer_test(LINEAR_WEIGHT, spec, (10, 1000), margin=0.1, samples=count)

@@ -214,10 +214,11 @@ class TestSimulation:
         assert fast == slow
 
     def test_deterministic_across_runs_and_chunks(self, monkeypatch):
+        # One block per thread: 1 to 8 blocks of the same 120 paths.
         spec = alpha_const(0.2).drift
         runs = []
-        for chunk in (120, 7, 13, 120):
-            monkeypatch.setattr(walk, "_CHUNK_PATHS", chunk)
+        for threads in (1, 8, 3, 5, 1):
+            monkeypatch.setattr(walk, "_THREADS", threads)
             runs.append(simulate(spec, seed=9, horizon=250, n_paths=120))
         assert all(r == runs[0] for r in runs)
 
@@ -301,10 +302,11 @@ class TestSimulation:
                                                        n_paths, chunk):
         # alpha is evaluated at each position a path stands on before a step,
         # once and in increasing order, however the paths are split into
-        # blocks and threads; in these runs the highest position is reached
-        # before the last step, so that is exactly 1..max_excursion.  A short
-        # switch interval makes the threads interleave often.
-        monkeypatch.setattr(walk, "_CHUNK_PATHS", chunk)
+        # blocks of at most ``chunk`` paths, one per thread; in these runs the
+        # highest position is reached before the last step, so that is
+        # exactly 1..max_excursion.  A short switch interval makes the
+        # threads interleave often.
+        monkeypatch.setattr(walk, "_THREADS", min(8, -(-n_paths // chunk)))
         calls = []
 
         def alpha(n):
@@ -396,19 +398,17 @@ class TestKernels:
         seed=st.integers(min_value=0, max_value=(1 << 64) - 1),
         n_paths=st.integers(min_value=1, max_value=40),
         horizon=st.integers(min_value=1, max_value=300),
-        chunk=st.integers(min_value=1, max_value=50),
-        threads=st.sampled_from([1, 2]),
+        threads=st.integers(min_value=1, max_value=8),
     )
-    @example(drift="out-of-range", seed=3, n_paths=30, horizon=300, chunk=7, threads=2)
-    @example(drift="fails", seed=5, n_paths=25, horizon=300, chunk=4, threads=2)
+    @example(drift="out-of-range", seed=3, n_paths=30, horizon=300, threads=5)
+    @example(drift="fails", seed=5, n_paths=25, horizon=300, threads=7)
     @settings(max_examples=60, deadline=None)
-    def test_compiled_and_reference_agree(self, drift, seed, n_paths, horizon, chunk, threads):
+    def test_compiled_and_reference_agree(self, drift, seed, n_paths, horizon, threads):
         spec = KERNEL_DRIFTS[drift]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(walk, "_THREADS", 1)
             whole = _outcome(simulate, spec, seed, horizon, n_paths)  # one block
             mp.setattr(walk, "_THREADS", threads)
-            mp.setattr(walk, "_CHUNK_PATHS", chunk)
             split = _outcome(simulate, spec, seed, horizon, n_paths)
         reference = _outcome(simulate_reference, spec, seed, horizon, n_paths)
         if isinstance(reference, Exception):
@@ -430,17 +430,18 @@ class TestKernels:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_later_block_reaching_first_names_its_step(self, monkeypatch, threads):
         # Seed 3: paths 0-3 first stand on 9 at steps 49, 43, 37, 29 and paths
-        # 4-7 at 27, 23, 47, 35, so in blocks of 4 the second block gets
-        # there first.  The error names step 23 on any schedule, where
-        # running the blocks in turn would stop at the first one's step 29.
+        # 4-7 at 27, 23, 47, 35, so on two threads, in blocks of 4, the second
+        # block gets there first; on one, a later path of the one block does.
+        # The error names step 23 on any schedule, where stopping at the
+        # first path that fails would name the first one's step 49.
         assert _first_stands(3, 8, 300, 9) == [49, 43, 37, 29, 27, 23, 47, 35]
-        monkeypatch.setattr(walk, "_THREADS", threads)
-        monkeypatch.setattr(walk, "_CHUNK_PATHS", 4)
         spec = KERNEL_DRIFTS["out-of-range"]
         message = "alpha(9) = 0.9 violates 0 < alpha < min(C=0.5, n/2=4.5) at step {}"
+        monkeypatch.setattr(walk, "_THREADS", 1)
         with pytest.raises(InvalidDrift) as info:
             simulate(spec, seed=3, horizon=300, n_paths=4)
         assert str(info.value) == message.format(29)
+        monkeypatch.setattr(walk, "_THREADS", threads)
         with pytest.raises(InvalidDrift) as info:
             simulate(spec, seed=3, horizon=300, n_paths=8)
         assert str(info.value) == message.format(23)
@@ -451,7 +452,6 @@ class TestThreads:
         # The main thread waits until the worker's block is done, so alpha
         # fails in the worker; simulate raises that very exception.
         monkeypatch.setattr(walk, "_THREADS", 2)
-        monkeypatch.setattr(walk, "_CHUNK_PATHS", 1)
         worker_done = threading.Event()
         run_block = walk._run_block
 
@@ -477,16 +477,37 @@ class TestThreads:
         assert info.value is raised[0][0]
         assert raised[0][1] is not threading.main_thread()
 
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_error_of_a_block_is_raised_after_the_join(self, monkeypatch, failing):
+        # An error of a block itself, in the calling thread's block or a
+        # worker's, is raised as it is once the other block is done.
+        monkeypatch.setattr(walk, "_THREADS", 2)
+        run_block = walk._run_block
+        error = RuntimeError("block failed")
+        finished = []
+
+        def one_fails(kernel, table, seed, lo, n, horizon):
+            if lo == 2 * failing:
+                raise error
+            finished.append(lo)
+            return run_block(kernel, table, seed, lo, n, horizon)
+
+        monkeypatch.setattr(walk, "_run_block", one_fails)
+        with pytest.raises(RuntimeError) as info:
+            simulate(alpha_const(0.3).drift, seed=1, horizon=50, n_paths=4)
+        assert info.value is error
+        assert finished == [2 - 2 * failing]
+
     def test_default_thread_count_is_usable_cpus(self):
         assert walk._THREADS == len(os.sched_getaffinity(0))
 
-    @pytest.mark.parametrize("n_paths,chunk,threads", [
+    @pytest.mark.parametrize("n_paths,horizon,threads", [
         (1, 1, None), (2, 1, None), (2, 1, 2), (5, 1, 2), (5, 1, 1), (30, 7, 2), (30, 50, 2),
     ])
-    def test_threads_started(self, monkeypatch, n_paths, chunk, threads):
-        # The calling thread runs blocks too, so a run starts one thread
-        # fewer than it uses: min(blocks, _THREADS), at most one per CPU.
-        monkeypatch.setattr(walk, "_CHUNK_PATHS", chunk)
+    def test_threads_started(self, monkeypatch, n_paths, horizon, threads):
+        # One block per thread and the calling thread runs the first, so a
+        # run starts one thread fewer than it uses: min(n_paths, _THREADS),
+        # at most one per CPU, whatever the horizon.
         if threads is not None:
             monkeypatch.setattr(walk, "_THREADS", threads)
         started = []
@@ -497,9 +518,8 @@ class TestThreads:
             start(thread)
 
         monkeypatch.setattr(threading.Thread, "start", counting_start)
-        simulate(alpha_const(0.3).drift, seed=4, horizon=100, n_paths=n_paths)
-        size = min(chunk, -(-n_paths // walk._THREADS))
-        assert len(started) + 1 == min(-(-n_paths // size), walk._THREADS)
+        simulate(alpha_const(0.3).drift, seed=4, horizon=horizon, n_paths=n_paths)
+        assert len(started) == min(n_paths, walk._THREADS) - 1
         if threads is None:
             assert len(started) + 1 <= len(os.sched_getaffinity(0))
         assert not any(thread.is_alive() for thread in started)
@@ -600,11 +620,9 @@ class TestSimulationNumpyFallback:
     def test_deterministic_across_runs_and_chunks(self, monkeypatch):
         spec = alpha_const(0.2).drift
         errors = set()
-        for threads in (1, 2):
+        for threads in (1, 8, 3, 5, 1):
             monkeypatch.setattr(walk, "_THREADS", threads)
-            for chunk in (120, 7, 13, 120):
-                monkeypatch.setattr(walk, "_CHUNK_PATHS", chunk)
-                errors.add(self._needs_cc(spec, seed=9, horizon=250, n_paths=120))
+            errors.add(self._needs_cc(spec, seed=9, horizon=250, n_paths=120))
         assert len(errors) == 1
 
     @pytest.mark.parametrize("seed", [-5, 1 << 64])
@@ -647,7 +665,7 @@ class TestSimulationNumpyFallback:
                                                        n_paths, chunk):
         # No position is reached, so alpha is evaluated nowhere, however the
         # paths would have been split.
-        monkeypatch.setattr(walk, "_CHUNK_PATHS", chunk)
+        monkeypatch.setattr(walk, "_THREADS", min(8, -(-n_paths // chunk)))
         calls = []
 
         def alpha(n):
