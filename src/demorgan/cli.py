@@ -21,7 +21,8 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
+from functools import partial
 from typing import Any
 
 from . import __version__
@@ -83,7 +84,7 @@ def _add_classify_flags(p: argparse.ArgumentParser) -> None:
                    help="deepest level the adaptive test may reach (default %(default)s)")
     p.add_argument("--margin", type=float, default=defaults.margin,
                    help="decision margin around the critical value (default %(default)s)")
-    p.add_argument("--band", type=float, default=defaults.near_one_band,
+    p.add_argument("--band", type=float, default=defaults.near_one_band, dest="near_one_band",
                    help="near-critical band that allows escalation (default %(default)s)")
     p.add_argument("--window-lo", type=int, default=defaults.window_lo,
                    help="sampling window floor (default %(default)s)")
@@ -91,7 +92,7 @@ def _add_classify_flags(p: argparse.ArgumentParser) -> None:
                    help="sampling window ceiling (default %(default)s)")
     p.add_argument("--samples", type=int, default=defaults.samples,
                    help="sample count on the geometric grid (default %(default)s)")
-    p.add_argument("--no-guard", action="store_true",
+    p.add_argument("--no-guard", action="store_false", dest="guard",
                    help="disable the next-level consistency guard")
 
 
@@ -130,8 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     srcb.add_argument("--family", choices=sorted(RATE_FACTORIES))
     srcb.add_argument("--c", type=float, help="rate family coefficient")
     srcb.add_argument("--K", type=int, help="bd-iterlog family depth")
-    srcb.add_argument("--lambda", dest="lam", metavar="EXPR", help="birth rate expression")
-    srcb.add_argument("--mu", dest="mu", metavar="EXPR", help="death rate expression")
+    srcb.add_argument("--lambda", metavar="EXPR", help="birth rate expression")
+    srcb.add_argument("--mu", metavar="EXPR", help="death rate expression")
     srcb.add_argument("--first-index", type=_first_index,
                       help="first index at which expression rates are valid (default 1)")
     _add_classify_flags(pb)
@@ -167,31 +168,33 @@ def _add_walk_source(p: argparse.ArgumentParser) -> None:
 
 
 def _classify_config(args: argparse.Namespace) -> ClassifyConfig:
-    return ClassifyConfig(
-        k_start=args.k_start,
-        k_max=args.k_max,
-        margin=args.margin,
-        near_one_band=args.band,
-        window_lo=args.window_lo,
-        window_hi=args.window_hi,
-        samples=args.samples,
-        guard=not args.no_guard,
-    )
+    # Each classify flag is stored under the name of the field it sets.
+    return ClassifyConfig(**{f.name: getattr(args, f.name)
+                             for f in fields(ClassifyConfig) if hasattr(args, f.name)})
 
 
-# Flags that only some sources read, by source.
+# The sources of each subcommand, each with the flags that only it reads.
 _SERIES_READERS = {"--family": ("--p", "--r", "--x", "--K"), "--a-n": ("--first-index",),
                    "--delta-n": ("--first-index",), "--table": ("--table-kind",)}
 _RATES_READERS = {"--family": ("--c", "--K"), "--lambda/--mu": ("--first-index",)}
 _DRIFT_READERS = {"--alpha-const": (), "--alpha": ("--C",)}
 
 
-def _reject_unread(args: argparse.Namespace, readers: dict[str, tuple[str, ...]],
-                   source: str) -> None:
-    """Exit 1 on a flag that the chosen ``source`` never reads."""
+def _flag_value(args: argparse.Namespace, flag: str):
+    return getattr(args, flag.lstrip("-").replace("-", "_"))
+
+
+def _check_source(args: argparse.Namespace, readers: dict[str, tuple[str, ...]]) -> None:
+    """Exit 1 unless exactly one source of ``readers`` is given and no flag
+    is given that this source never reads; a source ``--a/--b`` is given
+    when either flag is."""
+    given = [source for source in readers
+             if any(_flag_value(args, flag) is not None for flag in source.split("/"))]
+    if len(given) != 1:
+        raise _UsageError(f"choose exactly one of {', '.join(readers)}"
+                          + (f" (got {', '.join(given)})" if given else ""))
     for flag in dict.fromkeys(f for flags in readers.values() for f in flags):
-        attr = flag.lstrip("-").replace("-", "_")
-        if flag not in readers[source] and getattr(args, attr) is not None:
+        if flag not in readers[given[0]] and _flag_value(args, flag) is not None:
             users = " and ".join(s for s, flags in readers.items() if flag in flags)
             raise _UsageError(f"{flag} applies only to {users}")
 
@@ -210,19 +213,8 @@ def _probe_first_index(term, text: str) -> int:
 
 
 def _series_source(args: argparse.Namespace) -> tuple[RatioSpec, dict[str, Any]]:
-    chosen = [
-        name for name, flag in (
-            ("family", args.family), ("a-n", args.a_n),
-            ("delta-n", args.delta_n), ("table", args.table),
-        ) if flag is not None
-    ]
-    if len(chosen) != 1:
-        raise _UsageError(
-            "choose exactly one of --family, --a-n, --delta-n, --table"
-            + (f" (got {', '.join(chosen)})" if chosen else "")
-        )
-    _reject_unread(args, _SERIES_READERS, f"--{chosen[0]}")
-    if args.family:
+    _check_source(args, _SERIES_READERS)
+    if args.family is not None:
         fam = make_series_family(
             args.family, p=args.p, r=args.r, x=args.x, K=args.K,
         )
@@ -253,29 +245,23 @@ def _series_source(args: argparse.Namespace) -> tuple[RatioSpec, dict[str, Any]]
 
 
 def _rates_source(args: argparse.Namespace) -> tuple[BirthDeathRates, dict[str, Any]]:
-    has_family = args.family is not None
-    has_expr = args.lam is not None or args.mu is not None
-    if has_family == has_expr:
-        raise _UsageError("choose exactly one of --family or --lambda/--mu")
-    _reject_unread(args, _RATES_READERS, "--family" if has_family else "--lambda/--mu")
-    if has_family:
+    _check_source(args, _RATES_READERS)
+    if args.family is not None:
         fam = make_rate_family(args.family, c=args.c, K=args.K)
         return fam.rates, {"kind": "family", "family": fam.name, "params": fam.params}
-    if args.lam is None or args.mu is None:
+    lam = getattr(args, "lambda")
+    if lam is None or args.mu is None:
         raise _UsageError("expression rates need both --lambda and --mu")
     first = args.first_index or 1  # the parser rejects indices below 1
     rates = BirthDeathRates(
-        lam=parse_expression(args.lam), mu=parse_expression(args.mu), first_index=first,
+        lam=parse_expression(lam), mu=parse_expression(args.mu), first_index=first,
     )
-    return rates, {"kind": "expression", "lambda": args.lam, "mu": args.mu,
+    return rates, {"kind": "expression", "lambda": lam, "mu": args.mu,
                    "first_index": first}
 
 
 def _drift_source(args: argparse.Namespace) -> tuple[DriftSpec, dict[str, Any]]:
-    if (args.alpha_const is None) == (args.alpha is None):
-        raise _UsageError("choose exactly one of --alpha-const or --alpha")
-    _reject_unread(args, _DRIFT_READERS,
-                   "--alpha" if args.alpha_const is None else "--alpha-const")
+    _check_source(args, _DRIFT_READERS)
     if args.alpha_const is not None:
         fam = make_walk_family("alpha-const", a=args.alpha_const)
         return fam.drift, {"kind": "family", "family": fam.name, "params": fam.params}
@@ -286,19 +272,11 @@ def _drift_source(args: argparse.Namespace) -> tuple[DriftSpec, dict[str, Any]]:
                    "C": cap if math.isfinite(cap) else "inf"}
 
 
-def _run_classify(args) -> tuple:
-    mode, source, classify, to_dict = _CLASSIFIERS[args.command]
+def _run_classify(mode: str, source, classify, to_dict, args) -> tuple:
     spec, echo = source(args)
     config = _classify_config(args)
     return (mode, {"source": echo, "config": asdict(config)},
             lambda: classify(spec, config), to_dict)
-
-
-_CLASSIFIERS = {
-    "classify-series": ("series", _series_source, adaptive_classify, verdict_to_dict),
-    "classify-bdp": ("bdp", _rates_source, bdp_classify, classification_to_dict),
-    "classify-walk": ("rwalk", _drift_source, rw_classify, rw_classification_to_dict),
-}
 
 
 def _run_simulate(args) -> tuple:
@@ -390,9 +368,12 @@ def _print_verdict(v: dict[str, Any], out, prefix: str = "") -> None:
 
 # Each runner returns (mode, input echo, computation, result to dict).
 _RUNNERS = {
-    "classify-series": _run_classify,
-    "classify-bdp": _run_classify,
-    "classify-walk": _run_classify,
+    "classify-series": partial(_run_classify, "series", _series_source, adaptive_classify,
+                               verdict_to_dict),
+    "classify-bdp": partial(_run_classify, "bdp", _rates_source, bdp_classify,
+                            classification_to_dict),
+    "classify-walk": partial(_run_classify, "rwalk", _drift_source, rw_classify,
+                             rw_classification_to_dict),
     "simulate-walk": _run_simulate,
     "eval-iterlog": _run_eval_iterlog,
 }

@@ -13,14 +13,16 @@ Series catalog:
     iterlog-power   1/(n ln(n)...ln_(K)(n) ln_(K+1)(n)^r)   converges iff r > 1
     geometric       x^n                        converges iff x < 1
 
-Birth-death rate families perturb lambda/mu around 1 with the same shapes;
-walk families supply the position-dependent drift alpha.
+Birth-death rate families perturb lambda/mu around 1 with the boundary
+shape of the depth-K test: bd-iterlog at depth K, bd-log at depth 1 and
+bd-power, lambda/mu = 1 + c/n, at depth 0.  Walk families supply the
+position-dependent drift alpha.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import mpmath as mp
@@ -203,46 +205,25 @@ class RateFamily(_Family):
     truth: Fate
 
 
-def bd_power(c: float) -> RateFamily:
-    """lambda/mu = 1 + c/n; transient iff c > 1 (products decay like n^-c)."""
-    if not (math.isfinite(c) and c >= 0):
-        raise ValueError("c must be finite and non-negative")
-    rates = BirthDeathRates(
-        lam=lambda n: 1.0 + c / n,
-        mu=lambda n: 1.0,
-        first_index=1,
-        ratio_delta=lambda n: c / n,
-    )
-    return RateFamily(
-        name="bd-power", params={"c": c}, rates=rates,
-        truth=Fate.TRANSIENT if c > 1 else Fate.RECURRENT,
-    )
-
-
-def bd_log(c: float) -> RateFamily:
-    """lambda/mu = 1 + 1/n + c/(n ln n), bd-iterlog at depth 1; transient iff c > 1."""
-    return replace(bd_iterlog(1, c), name="bd-log", params={"c": c})
-
-
-def bd_iterlog(depth: int, c: float) -> RateFamily:
-    """lambda/mu = 1 + 1/n + sum_{k<depth} 1/(n prod_k) + c/(n prod_depth).
+def _boundary_rates(name: str, depth: int, params: dict[str, float]) -> RateFamily:
+    """lambda/mu = 1 + sum_{k<=depth} w_k/(n prod_k), with w = (1, ..., 1, c),
+    prod_k = ln(n) * ... * ln_(k)(n) and prod_0 = 1.
 
     The boundary shape of the depth-``depth`` test with the deepest term
-    weighted by c; transient iff c > 1.
+    weighted by c; transient iff c > 1.  Depth 0 is lambda/mu = 1 + c/n.
     """
-    if not isinstance(depth, int) or not 1 <= depth <= K_MAX_NUMERIC:
-        raise ValueError(f"depth must be an integer in 1..{K_MAX_NUMERIC}")
+    c = params["c"]
     if not (math.isfinite(c) and c >= 0):
         raise ValueError("c must be finite and non-negative")
-    first = min_domain(depth)
-    weights = (1.0,) * (depth - 1) + (c,)
+    first = min_domain(depth) if depth else 1
+    w0, *rest = (1.0,) * depth + (c,)
 
     def delta(n: int) -> float:
         if n < first:
-            raise DomainError(f"bd-iterlog: index {n} below min_domain({depth}) = {first}")
+            raise DomainError(f"{name}: index {n} below min_domain({depth}) = {first}")
         # One pass down the log chain; prod is ln(n) * ... * ln_(k)(n).
-        total, v, prod = 1.0 / n, n, 1.0
-        for w in weights:
+        total, v, prod = w0 / n, n, 1.0
+        for w in rest:
             v = math.log(v)
             prod *= v
             total += w / (n * prod)
@@ -255,9 +236,27 @@ def bd_iterlog(depth: int, c: float) -> RateFamily:
         ratio_delta=delta,
     )
     return RateFamily(
-        name="bd-iterlog", params={"K": depth, "c": c}, rates=rates,
+        name=name, params=params, rates=rates,
         truth=Fate.TRANSIENT if c > 1 else Fate.RECURRENT,
     )
+
+
+def bd_power(c: float) -> RateFamily:
+    """lambda/mu = 1 + c/n; transient iff c > 1 (products decay like n^-c)."""
+    return _boundary_rates("bd-power", 0, {"c": c})
+
+
+def bd_log(c: float) -> RateFamily:
+    """lambda/mu = 1 + 1/n + c/(n ln n), bd-iterlog at depth 1; transient iff c > 1."""
+    return _boundary_rates("bd-log", 1, {"c": c})
+
+
+def bd_iterlog(depth: int, c: float) -> RateFamily:
+    """lambda/mu = 1 + 1/n + sum_{k<depth} 1/(n prod_k) + c/(n prod_depth);
+    transient iff c > 1."""
+    if not isinstance(depth, int) or not 1 <= depth <= K_MAX_NUMERIC:
+        raise ValueError(f"depth must be an integer in 1..{K_MAX_NUMERIC}")
+    return _boundary_rates("bd-iterlog", depth, {"K": depth, "c": c})
 
 
 RATE_FACTORIES: dict[str, tuple[Callable[..., RateFamily], tuple[str, ...]]] = {

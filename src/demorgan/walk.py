@@ -204,8 +204,9 @@ def rw_classify(spec: DriftSpec, config: ClassifyConfig | None = None) -> RWClas
 
 def _check_run_args(seed: int, horizon: int, n_paths: int) -> None:
     """Argument check shared by ``simulate`` and ``simulate_reference``."""
-    if not isinstance(horizon, int) or horizon < 1:
-        raise ValueError(f"horizon must be a positive integer, got {horizon!r}")
+    # The kernel counts steps in int64_t: a horizon of 2^63 would wrap.
+    if not isinstance(horizon, int) or not 1 <= horizon < 2**63:
+        raise ValueError(f"horizon must be an integer in [1, 2^63), got {horizon!r}")
     if not isinstance(n_paths, int) or n_paths < 1:
         raise ValueError(f"n_paths must be a positive integer, got {n_paths!r}")
     if not isinstance(seed, int) or not 0 <= seed <= _MASK64:

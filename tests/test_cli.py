@@ -95,6 +95,22 @@ class TestClassifySeries:
         code, out, err = run(capsys, "classify-series", "--family", "p-series",
                              "--p", "2", "--a-n", "1/n")
         assert code == 1 and "exactly one" in err
+        assert err == ("error: choose exactly one of --family, --a-n, --delta-n, --table"
+                       " (got --family, --a-n)\n")
+        for argv, sources, got in [
+            (("classify-bdp",), "--family, --lambda/--mu", None),
+            (("classify-bdp", "--family", "bd-power", "--c", "2", "--mu", "1"),
+             "--family, --lambda/--mu", "--family, --lambda/--mu"),
+            (("classify-walk",), "--alpha-const, --alpha", None),
+            (("classify-walk", "--alpha-const", "0.3", "--alpha", "0.3"),
+             "--alpha-const, --alpha", "--alpha-const, --alpha"),
+            (("simulate-walk", "--paths", "4"), "--alpha-const, --alpha", None),
+            (("simulate-walk", "--alpha", "0.3", "--alpha-const", "0.3"),
+             "--alpha-const, --alpha", "--alpha-const, --alpha"),
+        ]:
+            code, out, err = run(capsys, *argv)
+            message = f"choose exactly one of {sources}" + (f" (got {got})" if got else "")
+            assert (code, out, err) == (1, "", f"error: {message}\n"), argv
 
     def test_bad_expression_reports_position(self, capsys):
         code, out, err = run(capsys, "classify-series", "--a-n", "1/(n")
@@ -279,6 +295,12 @@ class TestSimulateWalk:
                              "--paths", "4", "--horizon", "10", "--seed", seed)
         assert code == 1 and "seed" in err and out == ""
 
+    def test_horizon_beyond_int64_exits_one(self, capsys):
+        code, out, err = run(capsys, "simulate-walk", "--alpha-const", "0.3", "--paths", "1",
+                             "--horizon", str(2**63), "--no-timing")
+        assert code == 1 and out == ""
+        assert err.startswith("error: horizon must be an integer in [1, 2^63)")
+
     def test_no_compiler_exits_one(self, capsys, monkeypatch, tmp_path):
         # Without cc, simulate-walk names the compiler and exits 1; the
         # classifiers need none.
@@ -374,38 +396,61 @@ class TestUsage:
 
     def test_report_roundtrip_rerun(self, capsys):
         # The echoed input is sufficient to reproduce the analysis.
-        code, doc = run_json(capsys, "classify-series", "--family", "log-power",
-                             "--r", "2", "--no-timing")
-        src, cfg = doc["input"]["source"], doc["input"]["config"]
-        argv = ["classify-series", "--family", src["family"],
-                "--r", str(src["params"]["r"]),
-                "--K-start", str(cfg["k_start"]), "--K-max", str(cfg["k_max"]),
-                "--margin", str(cfg["margin"]), "--band", str(cfg["near_one_band"]),
-                "--window-lo", str(cfg["window_lo"]), "--window-hi", str(cfg["window_hi"]),
-                "--samples", str(cfg["samples"]), "--no-timing"]
-        code2, doc2 = run_json(capsys, *argv)
-        assert doc2["result"] == doc["result"]
+        for flags, echoed in [
+            ((), {}),
+            (("--no-guard", "--band", "0.3"), {"guard": False, "near_one_band": 0.3}),
+        ]:
+            code, doc = run_json(capsys, "classify-series", "--family", "log-power",
+                                 "--r", "2", *flags, "--no-timing")
+            src, cfg = doc["input"]["source"], doc["input"]["config"]
+            assert cfg.items() >= echoed.items()
+            argv = ["classify-series", "--family", src["family"],
+                    "--r", str(src["params"]["r"]),
+                    "--K-start", str(cfg["k_start"]), "--K-max", str(cfg["k_max"]),
+                    "--margin", str(cfg["margin"]), "--band", str(cfg["near_one_band"]),
+                    "--window-lo", str(cfg["window_lo"]), "--window-hi", str(cfg["window_hi"]),
+                    "--samples", str(cfg["samples"]), "--no-timing",
+                    *(() if cfg["guard"] else ("--no-guard",))]
+            code2, doc2 = run_json(capsys, *argv)
+            assert (code2, doc2["result"]) == (code, doc["result"])
 
 
-def _fresh_python(code: str) -> subprocess.CompletedProcess:
+def _fresh_python(*argv: str, check: bool = True) -> subprocess.CompletedProcess:
     src = str(Path(demorgan.__file__).resolve().parent.parent)
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=check, timeout=120)
 
 
 def test_export_list_resolves():
     assert all(hasattr(demorgan, name) for name in demorgan.__all__)
     assert len(set(demorgan.__all__)) == len(demorgan.__all__)
-    _fresh_python("from demorgan import *")
+    _fresh_python("-c", "from demorgan import *")
 
 
 def test_cli_loads_no_oracle_module():
     # The extended-precision oracle lives on the test side; a fresh
     # interpreter that imports the CLI loads exactly these package modules.
-    proc = _fresh_python("import sys, demorgan.cli; "
+    proc = _fresh_python("-c", "import sys, demorgan.cli; "
                          "print(sorted(m for m in sys.modules if m.startswith('demorgan')))")
     assert ast.literal_eval(proc.stdout) == [
         "demorgan", "demorgan.birthdeath", "demorgan.cli", "demorgan.convergence",
         "demorgan.errors", "demorgan.expr", "demorgan.families", "demorgan.iterlog",
         "demorgan.report", "demorgan.tables", "demorgan.walk",
     ]
+
+
+def test_module_entry_point_exit_codes():
+    # ``python -m demorgan.cli``, the entry point a spawned CLI call runs.
+    for argv, code, decision in [
+        (("classify-series", "--family", "p-series", "--p", "2"), 0, "converges"),
+        (("classify-bdp", "--family", "bd-iterlog", "--K", "4", "--c", "1.0"), 2,
+         "inconclusive"),
+        (("classify-bdp",), 1, None),
+    ]:
+        proc = _fresh_python("-m", "demorgan.cli", *argv, "--format", "json", "--no-timing",
+                             check=False)
+        assert proc.returncode == code, (argv, proc.stderr)
+        if decision is None:
+            assert proc.stdout == ""
+        else:
+            assert json.loads(proc.stdout)["result"]["decision"] == decision

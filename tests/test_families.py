@@ -222,6 +222,31 @@ class TestRateFamilies:
             s = extract_sn(depth, spec, n).value
             assert abs(s - c) <= 0.1, (depth, c, n, s)
 
+    @given(depth=st.integers(1, 4), c=st.sampled_from(RATE_GRID), u=st.floats(0.0, 1.0))
+    @settings(max_examples=400)
+    def test_boundary_rates_match_per_level_formula(self, depth, c, u):
+        # Reference: 1/n, then one validated iterlog_product per level.
+        first = min_domain(depth)
+        n = min(int(first * (2**53 / first) ** u), 2**53 - 1)
+        expected = 1.0 / n
+        for k in range(1, depth):
+            expected += 1.0 / (n * iterlog_product(k, n))
+        expected += c / (n * iterlog_product(depth, n))
+        rates = bd_iterlog(depth, c).rates
+        assert rates.ratio_delta(n).hex() == expected.hex()
+        assert rates.lam(n).hex() == (1.0 + expected).hex()
+        # bd-power is the depth-0 shape, bd-log the depth-1 one.
+        power = bd_power(c).rates
+        assert power.ratio_delta(n).hex() == (c / n).hex()
+        assert power.lam(n).hex() == (1.0 + c / n).hex()
+        log_rates, iterlog_rates = bd_log(c).rates, bd_iterlog(1, c).rates
+        assert log_rates.ratio_delta(n).hex() == iterlog_rates.ratio_delta(n).hex()
+        assert log_rates.lam(n).hex() == iterlog_rates.lam(n).hex()
+        for name, fam, below in [("bd-power", bd_power(c), 0), ("bd-log", bd_log(c), 1),
+                                 ("bd-iterlog", bd_iterlog(depth, c), first - 1)]:
+            with pytest.raises(DomainError, match=f"^{name}: index {below} below"):
+                fam.rates.ratio_delta(below)
+
     @pytest.mark.parametrize("make,n", [(bd_log, 1), (lambda c: bd_iterlog(3, c), 15)])
     def test_delta_below_domain_raises(self, make, n):
         with pytest.raises(DomainError):

@@ -351,6 +351,8 @@ class TestSimulation:
         for run in (simulate, simulate_reference):
             with pytest.raises(ValueError, match="horizon"):
                 run(QUARTER, seed=1, horizon=0, n_paths=5)
+            with pytest.raises(ValueError, match="horizon"):  # beyond the kernel's int64_t
+                run(QUARTER, seed=1, horizon=2**63, n_paths=5)
             with pytest.raises(ValueError, match="n_paths"):
                 run(QUARTER, seed=1, horizon=5, n_paths=0)
 
@@ -635,6 +637,8 @@ class TestSimulationNumpyFallback:
         for run in (simulate, simulate_reference):
             with pytest.raises(ValueError, match="horizon"):
                 run(QUARTER, seed=1, horizon=0, n_paths=5)
+            with pytest.raises(ValueError, match="horizon"):  # beyond the kernel's int64_t
+                run(QUARTER, seed=1, horizon=2**63, n_paths=5)
             with pytest.raises(ValueError, match="n_paths"):
                 run(QUARTER, seed=1, horizon=5, n_paths=0)
 
