@@ -388,7 +388,7 @@ def main(argv: list[str] | None = None) -> int:
         result = compute()
         elapsed = (time.perf_counter() - t0) * 1e3
         report = Report(mode, echo, to_dict(result), None if args.no_timing else elapsed)
-    except (_UsageError, DemorganError, ValueError, OSError) as exc:
+    except (_UsageError, DemorganError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     if args.format == "json":

@@ -128,26 +128,18 @@ class GuardReport:
 
 
 @dataclass(frozen=True)
-class LevelReport:
-    level: int
-    window: tuple[int, int]
-    decision: Decision
-    s_min: float | None
-    s_max: float | None
-    usable: int
-    dropped: int
-    guard: GuardReport | None
-    escalated: str = ""
-
-
-@dataclass(frozen=True)
 class Verdict:
-    """Outcome of a tail-window test, with the evidence that produced it.
+    """One depth's tail-window test, with the evidence that produced it.
 
     ``s_min``/``s_max`` are the extrema of the usable tail samples (the
     Kummer statistic rho for :func:`kummer_test`, the extracted coefficient
     for the depth tests).  A Converges decision implies s_min > threshold +
     margin over the tail; Diverges implies s_max < threshold - margin.
+    Of the ``samples``, ``usable`` can enter the tail and ``dropped`` raised
+    or lost their bits to cancellation.  :func:`adaptive_classify` keeps one
+    Verdict per depth tried in ``trace``, with the next-level ``guard`` run
+    on a decisive depth and the reason it ``escalated`` past that depth (""
+    where it stopped), and returns the last one with the trace attached.
     """
 
     decision: Decision
@@ -158,8 +150,11 @@ class Verdict:
     margin: float
     samples: tuple[SamplePoint, ...] = ()
     dropped: int = 0
-    trace: tuple[LevelReport, ...] = ()
+    trace: tuple[Verdict, ...] = ()
     note: str = ""
+    usable: int = 0
+    guard: GuardReport | None = None
+    escalated: str = ""
 
 
 @dataclass(frozen=True)
@@ -285,7 +280,7 @@ def kummer_test(
     reciprocal sum; otherwise inconclusive.
     """
     return _tail_window_test(
-        lambda n: (kummer_rho(weight, ratio, n, use_delta=use_delta), False),
+        lambda n: SamplePoint(n, kummer_rho(weight, ratio, n, use_delta=use_delta), True),
         _effective_window(ratio, window, weight.first_index), ratio.support,
         margin, samples, tail_fraction,
         threshold=0.0, min_tail=1, may_diverge=weight.reciprocal_sum_diverges, level=None,
@@ -309,40 +304,40 @@ def extract_sn(K: int, ratio: RatioSpec, n: int, use_delta: bool = True) -> Samp
         raise DomainError(f"extract_sn: n={n} below first admissible index {lo} at depth {K}")
     if ratio.last_index is not None and n > ratio.last_index:
         raise DomainError(f"extract_sn: n={n} beyond ratio domain end {ratio.last_index}")
-    s, unusable = _sampler(ratio, use_delta)(K, n)
-    return SamplePoint(n, s, not unusable)
+    return _sampler(ratio, use_delta)(K, n)
 
 
-def _sampler(ratio: RatioSpec, use_delta: bool) -> Callable[[int, int], tuple[float, bool]]:
-    """(s_n, unusable) at depth K, for depths that never fall.
+def _sampler(ratio: RatioSpec, use_delta: bool) -> Callable[[int, int], SamplePoint]:
+    """The SamplePoint of s_n at depth K, for depths that never fall.
 
-    Each index calls the source once and keeps the loop state (k, t, x, v,
-    p, exact); one more depth then costs one subtraction, one log and one
-    multiply, in iterlog_product's operation order, so s_n is bit-identical
-    at any depth.  An index whose source raised is unusable at every later
-    depth, with no second call; it keeps an empty state, not the exception,
-    whose traceback would tie this state into a reference cycle.
+    Each index calls the source once and keeps the loop state (k, t, v, p);
+    one more depth then costs one subtraction, one log and one multiply, in
+    iterlog_product's operation order, so s_n is bit-identical at any depth
+    (n < 2^53, so n * p rounds as float(n) * p does).  An index whose source
+    raised is unusable at every later depth, with no second call; it keeps
+    an empty state, not the exception, whose traceback would tie this state
+    into a reference cycle.
     """
     states: dict[int, list] = {}
+    exact = use_delta and ratio.delta is not None
 
-    def sample(K: int, n: int) -> tuple[float, bool]:
+    def sample(K: int, n: int) -> SamplePoint:
         state = states.get(n)
         if state is None:
             states[n] = []  # stays empty if the source raises
-            exact = use_delta and ratio.delta is not None
             t = (float(ratio.delta(n)) if exact else ratio.ratio_at(n) - 1.0) - 1.0 / n
             _check_index(n)
-            state = states[n] = [0, t, float(n), float(n), 1.0, exact]
+            state = states[n] = [0, t, float(n), 1.0]
         elif not state:
-            return math.nan, True
-        k, t, x, v, p, exact = state
+            return SamplePoint(n, math.nan, False)
+        k, t, v, p = state
         for i in range(k, K):
             if i:
-                t -= 1.0 / (x * p)
+                t -= 1.0 / (n * p)
             v = math.log(v)
             p *= v
-        state[:] = K, t, x, v, p, exact
-        return t * (x * p), (not exact) and abs(t) < _CANCEL_THRESHOLD
+        state[:] = K, t, v, p
+        return SamplePoint(n, t * (n * p), exact or not abs(t) < _CANCEL_THRESHOLD)
     return sample
 
 
@@ -380,7 +375,7 @@ def _effective_window(
 
 
 def _tail_window_test(
-    statistic: Callable[[int], tuple[float, bool]],
+    statistic: Callable[[int], SamplePoint],
     window: tuple[int, int],
     support: Sequence[int] | None,
     margin: float,
@@ -394,8 +389,8 @@ def _tail_window_test(
 ) -> Verdict:
     """Sample ``statistic`` over the clipped window and decide on its usable tail.
 
-    ``statistic(n)`` gives (value, unusable); a sample that raised or is
-    unusable, as after a precision warning, is kept as unusable.  Converges
+    ``statistic(n)`` gives the SamplePoint at n; a sample that raised is
+    kept as unusable, like one that lost its bits to cancellation.  Converges
     when the tail minimum exceeds threshold + margin; diverges when the tail
     maximum is below threshold - margin and ``may_diverge`` holds;
     inconclusive otherwise or when fewer than ``min_tail`` usable samples
@@ -407,16 +402,16 @@ def _tail_window_test(
     pts = []
     for n in sample_grid(*window, samples, support):
         try:
-            s, unusable = statistic(n)
+            pts.append(statistic(n))
         except (DomainError, EvalError, ArithmeticError):
-            s, unusable = math.nan, True
-        pts.append(SamplePoint(n, s, not unusable))
+            pts.append(SamplePoint(n, math.nan, False))
     tail = _usable_tail(pts, tail_fraction)
-    dropped = sum(1 for p in pts if not p.usable)
+    usable = sum(p.usable for p in pts)
+    dropped = len(pts) - usable
     if len(tail) < min_tail:
         note = "too few usable tail samples" if min_tail > 1 else "no usable tail samples"
         return Verdict(Decision.INCONCLUSIVE, level, window, None, None, margin,
-                       tuple(pts), dropped, note=note)
+                       tuple(pts), dropped, note=note, usable=usable)
     s_min = min(p.value for p in tail)
     s_max = max(p.value for p in tail)
     if s_min > threshold + margin:
@@ -425,7 +420,8 @@ def _tail_window_test(
         decision = Decision.DIVERGES
     else:
         decision = Decision.INCONCLUSIVE
-    return Verdict(decision, level, window, s_min, s_max, margin, tuple(pts), dropped)
+    return Verdict(decision, level, window, s_min, s_max, margin, tuple(pts), dropped,
+                   usable=usable)
 
 
 def extended_bdm_test(
@@ -447,7 +443,7 @@ def extended_bdm_test(
                        tail_fraction)
 
 
-def _depth_test(K: int, ratio: RatioSpec, sample: Callable[[int, int], tuple[float, bool]],
+def _depth_test(K: int, ratio: RatioSpec, sample: Callable[[int, int], SamplePoint],
                 window: tuple[int, int] | None, margin: float, samples: int,
                 tail_fraction: float) -> Verdict:
     window = _effective_window(ratio, window or (DEFAULT_WINDOW_FLOOR, DEFAULT_WINDOW_HI),
@@ -503,11 +499,12 @@ def adaptive_classify(ratio: RatioSpec, config: ClassifyConfig | None = None) ->
     because the apparent margin is then a slowly decaying correction term
     that the next depth resolves.  An inconclusive verdict escalates only
     when the tail hovers inside the near-one band.  The returned verdict
-    carries the full escalation trace.  The depths share one sampler, so the
-    source is evaluated once per sampled index, whatever the depth reached.
+    carries the full escalation trace, one Verdict per depth tried.  The
+    depths share one sampler, so the source is evaluated once per sampled
+    index, whatever the depth reached.
     """
     config = config or ClassifyConfig()
-    reports: list[LevelReport] = []
+    trace: list[Verdict] = []
     verdict: Verdict | None = None
     sample = _sampler(ratio, config.use_delta)
     for K in range(config.k_start, config.k_max + 1):
@@ -518,7 +515,7 @@ def adaptive_classify(ratio: RatioSpec, config: ClassifyConfig | None = None) ->
             )
         except InvalidWindow as exc:
             base = verdict or Verdict(Decision.INCONCLUSIVE, K, (0, 0), None, None, config.margin)
-            return replace(base, decision=Decision.INCONCLUSIVE, trace=tuple(reports),
+            return replace(base, decision=Decision.INCONCLUSIVE, trace=tuple(trace),
                            note=f"depth {K} not reachable: {exc}")
         decisive = verdict.decision is not Decision.INCONCLUSIVE
         guard = _consistency_guard(K, verdict, config) if decisive and config.guard else None
@@ -531,12 +528,10 @@ def adaptive_classify(ratio: RatioSpec, config: ClassifyConfig | None = None) ->
                 and abs(verdict.s_max - 1.0) <= config.near_one_band
             )
             reason = "tail hovers near the critical value" if in_band else ""
-        reports.append(LevelReport(
-            K, verdict.window, verdict.decision, verdict.s_min, verdict.s_max,
-            sum(1 for p in verdict.samples if p.usable), verdict.dropped, guard, reason,
-        ))
+        verdict = replace(verdict, guard=guard, escalated=reason)
+        trace.append(verdict)
         if not reason:
-            return replace(verdict, trace=tuple(reports))
+            return replace(verdict, trace=tuple(trace))
     note = (f"decisive at depth {K} but {reason}" if decisive
             else verdict.note or f"stopped at depth {K} ({reason}, no depth left)")
-    return replace(verdict, decision=Decision.INCONCLUSIVE, trace=tuple(reports), note=note)
+    return replace(verdict, decision=Decision.INCONCLUSIVE, trace=tuple(trace), note=note)

@@ -398,25 +398,9 @@ def simulate(spec: DriftSpec, seed: int, horizon: int, n_paths: int) -> Simulati
     if table.failure is not None:
         raise table.failure
 
-    returned = sum(r[0] for r in results)
-    first_ret_sum = sum(r[1] for r in results)
-    max_excursion = max(r[2] for r in results)
-    finals = np.concatenate([r[3] for r in results])
-    return SimulationReport(
-        n_paths=n_paths,
-        horizon=horizon,
-        seed=seed,
-        returned_paths=returned,
-        returned_fraction=returned / n_paths,
-        mean_first_return=(first_ret_sum / returned) if returned else None,
-        max_excursion=max_excursion,
-        final_positions=FinalPositionStats(
-            mean=float(finals.sum()) / n_paths,
-            median=float(np.median(finals)),
-            min=int(finals.min()),
-            max=int(finals.max()),
-        ),
-    )
+    return _report(seed, horizon, np.concatenate([r[3] for r in results]),
+                   sum(r[0] for r in results), sum(r[1] for r in results),
+                   max(r[2] for r in results))
 
 
 def simulate_reference(spec: DriftSpec, seed: int, horizon: int, n_paths: int) -> SimulationReport:
@@ -455,19 +439,26 @@ def simulate_reference(spec: DriftSpec, seed: int, horizon: int, n_paths: int) -
             first_ret_sum += first
         finals.append(pos)
         max_excursion = max(max_excursion, path_max)
-    finals_arr = np.array(finals, dtype=np.int64)
+    return _report(seed, horizon, np.array(finals, dtype=np.int64), returned, first_ret_sum,
+                   max_excursion)
+
+
+def _report(seed: int, horizon: int, finals: np.ndarray, returned: int, first_return_sum: int,
+            max_excursion: int) -> SimulationReport:
+    """The SimulationReport of a run whose paths ended at ``finals``."""
+    n_paths = len(finals)
     return SimulationReport(
         n_paths=n_paths,
         horizon=horizon,
         seed=seed,
         returned_paths=returned,
         returned_fraction=returned / n_paths,
-        mean_first_return=(first_ret_sum / returned) if returned else None,
+        mean_first_return=(first_return_sum / returned) if returned else None,
         max_excursion=max_excursion,
         final_positions=FinalPositionStats(
-            mean=float(finals_arr.sum()) / n_paths,
-            median=float(np.median(finals_arr)),
-            min=int(finals_arr.min()),
-            max=int(finals_arr.max()),
+            mean=float(finals.sum()) / n_paths,
+            median=float(np.median(finals)),
+            min=int(finals.min()),
+            max=int(finals.max()),
         ),
     )

@@ -315,6 +315,18 @@ class TestSimulateWalk:
         code, doc = run_json(capsys, "classify-walk", "--alpha-const", "0.3")
         assert code == 0 and doc["result"]["decision"] == "transient"
 
+    def test_failed_allocation_exits_one(self, capsys, monkeypatch):
+        # A run too large for memory names the failed allocation, with no
+        # traceback; the stand-in raises before anything is allocated.
+        def simulate(*args, **kwargs):
+            raise MemoryError("Unable to allocate 3.64 TiB")
+
+        monkeypatch.setattr("demorgan.cli.simulate", simulate)
+        code, out, err = run(capsys, "simulate-walk", "--alpha-const", "0.3",
+                             "--paths", "1000000000000", "--horizon", "10")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ")
+
     def test_text_format(self, capsys):
         code, out, err = run(capsys, "simulate-walk", "--alpha-const", "0.2",
                              "--paths", "20", "--horizon", "100", "--seed", "11")

@@ -529,6 +529,18 @@ class TestSampler:
                                   config.margin, config.samples, config.tail_fraction,
                                   use_delta)
         assert _points(v.samples) == _points(fixed.samples)
+        # Each trace entry is the fixed-depth test at its depth.
+        for r in v.trace:
+            fixed = extended_bdm_test(r.level, spec, (config.window_lo, config.window_hi),
+                                      config.margin, config.samples, config.tail_fraction,
+                                      use_delta)
+            assert _points(r.samples) == _points(fixed.samples)
+            assert (r.decision, r.window, r.s_min, r.s_max, r.usable, r.dropped) == (
+                fixed.decision, fixed.window, fixed.s_min, fixed.s_max, fixed.usable,
+                fixed.dropped)
+            assert r.usable + r.dropped == len(r.samples)
+        if v.trace and v.trace[-1].escalated == "":
+            assert v.guard is v.trace[-1].guard
 
     def test_source_called_once_per_distinct_index(self):
         # Depths 1 and 2 share the grid over [4, 10^7]; depth 3 starts at

@@ -311,6 +311,35 @@ class TestWalkFamilies:
             make_walk_family("alpha-const", a=None)
 
 
+def _decision(fam, config):
+    """The decision on a catalog family of any kind."""
+    if hasattr(fam, "ratio_spec"):
+        return adaptive_classify(fam.ratio_spec, config).decision
+    if hasattr(fam, "rates"):
+        return bdp_classify(fam.rates, config).decision
+    return rw_classify(fam.drift, config).decision
+
+
+WRONG_NEAR_THRESHOLD = [
+    (p_series(1.01), None), (p_series(1.05), None),
+    (log_power(1.05), None), (log_power(1.1), None),
+    (bd_power(1.01), None), (bd_power(1.05), None),
+    (alpha_const(0.251), None), (alpha_const(0.26), None),
+    (alpha_threshold(3, 0.5), None), (alpha_threshold(3, 0.9), None),
+    (log_power(2.0), ClassifyConfig(k_start=4)),
+]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: wrong decisive verdict near the threshold")
+@pytest.mark.parametrize("fam,config", WRONG_NEAR_THRESHOLD, ids=[
+    "-".join([fam.name, *map(str, fam.params.values())] + (["k_start=4"] if config else []))
+    for fam, config in WRONG_NEAR_THRESHOLD
+])
+def test_no_wrong_decisive_verdict_near_threshold(fam, config):
+    decision = _decision(fam, config)
+    assert decision.value in (fam.truth.value, "inconclusive"), (fam.name, fam.params, decision)
+
+
 @pytest.mark.parametrize("make,name,params", [
     (make_series_family, "p-series", {"p": 2.0}),
     (make_rate_family, "bd-power", {"c": 2.0}),
