@@ -28,8 +28,10 @@ evaluated only at positions a path stands on, when one first does.
 The simulator's kernel is C, compiled with ``cc`` on first use and cached in
 the package ``__pycache__`` or the user cache directory.  The paths split
 into one contiguous block per thread, up to one thread per usable CPU, since
-the kernel runs without the interpreter lock; a block has one path in
-flight, seeded and run to the horizon before the next.  Without a C
+the kernel runs without the interpreter lock.  A block runs its paths in
+groups of 16 in lockstep, one per lane of an AVX-512 register pair, on CPUs
+with AVX-512F/DQ, and one at a time elsewhere; both are builds of one C
+body, and the CPU picks one when the kernel is loaded.  Without a C
 compiler ``simulate`` raises OSError; the classifiers never need one.
 """
 
@@ -60,43 +62,84 @@ _U53 = 1 << 53
 _THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 
-# Path-major walk kernel: runs paths i..n-1 of the block whose first path is
-# lo to the horizon, each before the next, writing their final positions to
-# pos, and returns the first path that stands on position len (no threshold
-# yet), or n.  st[0..4] is the path in flight (state, position, steps, first
-# return, top), resumed there unless it has taken no step and is (re)seeded;
-# st[5..7] are the block's returned count, first-return sum and maximum.
+# Walk kernel: lanes(W, ...) runs the paths i..n-1 of the block whose first
+# path is lo to the horizon in groups of W, the W paths of a group in lockstep,
+# writing their final positions to pos, and returns the first path of the
+# group that stands on position len (no threshold yet) before the horizon, or
+# n.  st[0] is the group's step count, resumed there unless it is 0 and the
+# group is (re)seeded; st[1..3] are the block's returned count, first-return
+# sum and maximum; st[4 + 4k .. 7 + 4k] are lane k's state, position, first
+# return and top.  A lane past n replays the group's first path, so a group
+# stands only where real paths stand.  The body is built twice: walk_16 for
+# CPUs with AVX-512F/DQ, where GCC turns the lane loops into 512-bit vector
+# code, and walk_1 for every other CPU; lanes_of() names the one to call.
 _KERNEL_SOURCE = f"""
 #include <stdint.h>
-static uint64_t mix(uint64_t z) {{
+static inline uint64_t mix(uint64_t z) {{
     z = (z ^ (z >> 30)) * {_MIX_M1:#x}ULL;
     z = (z ^ (z >> 27)) * {_MIX_M2:#x}ULL;
     return z ^ (z >> 31);
 }}
-int64_t walk(uint64_t master, int64_t lo, int64_t i, int64_t n, int64_t horizon,
-             const uint64_t *thr, int64_t len, int64_t *st, int64_t *pos) {{
-    for (; i < n; i++) {{
-        int64_t t = st[2], p = t ? st[1] : 1, f = t ? st[3] : 0, m = t ? st[4] : 1;
-        uint64_t s = t ? (uint64_t)st[0] : mix(master + (uint64_t)(lo + i + 1) * {GAMMA:#x}ULL);
-        while (t < horizon && p < len) {{
-            s += {GAMMA:#x}ULL;
-            p += (mix(s) >> 11) < thr[p] ? 1 : -1;
-            t++;
-            if (p == 0 && f == 0) f = t;
-            if (p > m) m = p;
+static inline __attribute__((always_inline)) int64_t
+lanes(const int W, uint64_t master, int64_t lo, int64_t i, int64_t n, int64_t horizon,
+      const uint64_t *thr, int64_t len, int64_t *st, int64_t *pos) {{
+    uint64_t s[16];  /* W <= 16; fixed sizes keep the lanes in registers */
+    int64_t p[16], f[16], m[16];
+    for (; i < n; i += W) {{
+        int64_t t = st[0], top = 0;
+        for (int k = 0; k < W; k++) {{
+            const int64_t *l = st + 4 + 4 * k, j = i + k < n ? i + k : i;
+            s[k] = t ? (uint64_t)l[0] : mix(master + (uint64_t)(lo + j + 1) * {GAMMA:#x}ULL);
+            p[k] = t ? l[1] : 1; f[k] = t ? l[2] : 0; m[k] = t ? l[3] : 1;
+            top = p[k] > top ? p[k] : top;
+        }}
+        while (t < horizon && top < len) {{
+            /* No lane can reach len within len - top steps. */
+            int64_t end = horizon - t < len - top ? horizon : t + (len - top);
+            while (t < end) {{
+                t++;
+                for (int k = 0; k < W; k++) {{
+                    s[k] += {GAMMA:#x}ULL;
+                    p[k] += (mix(s[k]) >> 11) < thr[p[k]] ? 1 : -1;
+                    f[k] = p[k] == 0 && f[k] == 0 ? t : f[k];
+                    m[k] = p[k] > m[k] ? p[k] : m[k];
+                }}
+            }}
+            top = 0;
+            for (int k = 0; k < W; k++) top = p[k] > top ? p[k] : top;
         }}
         if (t < horizon) {{
-            st[0] = (int64_t)s; st[1] = p; st[2] = t; st[3] = f; st[4] = m;
+            for (int k = 0; k < W; k++) {{
+                int64_t *l = st + 4 + 4 * k;
+                l[0] = (int64_t)s[k]; l[1] = p[k]; l[2] = f[k]; l[3] = m[k];
+            }}
+            st[0] = t;
             return i;
         }}
-        pos[i] = p; st[2] = 0;
-        if (f) {{ st[5]++; st[6] += f; }}
-        if (m > st[7]) st[7] = m;
+        for (int k = 0; k < W && i + k < n; k++) {{
+            pos[i + k] = p[k];
+            if (f[k]) {{ st[1]++; st[2] += f[k]; }}
+            if (m[k] > st[3]) st[3] = m[k];
+        }}
+        st[0] = 0;
     }}
     return n;
 }}
+#define ARGS uint64_t master, int64_t lo, int64_t i, int64_t n, int64_t horizon, \\
+    const uint64_t *thr, int64_t len, int64_t *st, int64_t *pos
+int64_t walk_1(ARGS) {{ return lanes(1, master, lo, i, n, horizon, thr, len, st, pos); }}
+#if defined(__x86_64__)
+__attribute__((target("arch=x86-64-v4")))
+int64_t walk_16(ARGS) {{ return lanes(16, master, lo, i, n, horizon, thr, len, st, pos); }}
+int64_t lanes_of(void) {{
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq") ? 16 : 1;
+}}
+#else
+int64_t lanes_of(void) {{ return 1; }}
+#endif
 """
-_KERNEL_FLAGS = ("-O2", "-shared", "-fPIC")
+_KERNEL_FLAGS = ("-O3", "-shared", "-fPIC")  # GCC 12 vectorises the lane loops at -O3 only
 _PACKAGE_CACHE = Path(__file__).with_name("__pycache__")
 
 
@@ -232,7 +275,10 @@ def _compile(source: str, path: Path) -> None:
 
 
 def _build_kernel(source: str):
-    """The ``walk`` function of ``source``, compiled once and cached on disk.
+    """The library of ``source``, compiled once and cached on disk.
+
+    Its ``walk`` is the entry that ``lanes_of()`` picks for this CPU; that
+    entry and ``walk_1`` carry their lane count W as ``lanes``.
 
     The file is named by a CRC of the source, the flags and the machine type,
     in the package ``__pycache__`` or else the user cache directory; a
@@ -256,7 +302,7 @@ def _build_kernel(source: str):
                 continue
             if not path.exists():
                 _compile(source, path)
-            kernel = ctypes.CDLL(str(path)).walk
+            library = ctypes.CDLL(str(path))
         except OSError as exc:
             reason = str(exc)
             continue
@@ -264,15 +310,20 @@ def _build_kernel(source: str):
         # several times the call itself; the kernel returns to Python once
         # per reached position.
         u64, i64, ptr = ctypes.c_uint64, ctypes.c_int64, ctypes.c_void_p
-        kernel.argtypes = [u64, i64, i64, i64, i64, ptr, i64, ptr, ptr]
-        kernel.restype = i64
-        return kernel
+        library.lanes_of.argtypes, library.lanes_of.restype = [], i64
+        for lanes in {1, library.lanes_of()}:
+            entry = getattr(library, f"walk_{lanes}")
+            entry.argtypes = [u64, i64, i64, i64, i64, ptr, i64, ptr, ptr]
+            entry.restype = i64
+            entry.lanes = lanes
+        library.walk = getattr(library, f"walk_{library.lanes_of()}")
+        return library
     raise OSError(f"simulate needs a C compiler: cc could not build the walk kernel ({reason})")
 
 
 @functools.cache
 def _load_kernel():
-    """The compiled walk kernel, built on first use; see ``_build_kernel``."""
+    """The compiled walk library, built on first use; see ``_build_kernel``."""
     return _build_kernel(_KERNEL_SOURCE)
 
 
@@ -327,26 +378,28 @@ def _run_block(
     kernel, table: _Thresholds, seed: int, lo: int, n: int, horizon: int
 ) -> tuple[int, int, int, np.ndarray, int]:
     """(returned_count, first_return_sum, max_excursion, final_positions,
-    fail_step) of paths lo..lo + n - 1, one path in flight at a time.
+    fail_step) of paths lo..lo + n - 1, in groups of ``kernel.lanes`` paths
+    run in lockstep.
 
     Once alpha has failed at the table's end s*, the block runs on against
-    the capped table; fail_step is the earliest step at which one of its
-    paths stands on s*, or horizon + 1 if none does.
+    the capped table, abandoning each group at the first step that starts on
+    s*, which is the earliest such step of its paths; fail_step is the
+    earliest over the groups, or horizon + 1 if no path stands on s*.
     """
     # Buffers of the kernel's types, alive until it is done; their addresses
     # are read once, not at each return for a missing threshold.
-    st, pos = np.zeros(8, dtype=np.int64), np.empty(n, dtype=np.int64)
+    st, pos = np.zeros(4 + 4 * kernel.lanes, dtype=np.int64), np.empty(n, dtype=np.int64)
     st_address, pos_address = st.ctypes.data, pos.ctypes.data
     fail_step, i = horizon + 1, 0
     address, length = table.table
     while (i := kernel(seed, lo, i, n, horizon, address, length, st_address, pos_address)) < n:
         address, grown = table.grow(length)
         if grown == length:
-            fail_step = min(fail_step, int(st[2]) + 1)
-            st[2] = 0
-            i += 1
+            fail_step = min(fail_step, int(st[0]) + 1)
+            st[0] = 0
+            i += kernel.lanes
         length = grown
-    return int(st[5]), int(st[6]), int(st[7]), pos, fail_step
+    return int(st[1]), int(st[2]), int(st[3]), pos, fail_step
 
 
 def simulate(spec: DriftSpec, seed: int, horizon: int, n_paths: int) -> SimulationReport:
@@ -357,18 +410,19 @@ def simulate(spec: DriftSpec, seed: int, horizon: int, n_paths: int) -> Simulati
     contiguous blocks of sizes differing by at most one, one per thread, the
     calling thread running the first; the blocks' counts, sums and maxima
     over their paths are combined in block order once every block is done.
-    Each block runs in a compiled C kernel, one path in flight at a time,
-    which the per-path streams allow; it is built with ``cc`` on first use
-    and cached on disk, and without a C compiler this raises OSError.
+    Each block runs in a compiled C kernel, in groups of 16 paths in
+    lockstep on CPUs with AVX-512F/DQ and of one path elsewhere, which the
+    per-path streams allow; it is built with ``cc`` on first use and cached
+    on disk, and without a C compiler this raises OSError.
     alpha is evaluated only at the positions paths stand on, once each and
     in increasing order, in a table shared by all blocks.  When alpha fails
-    at a position s*, every block runs on to the horizon against the table
-    capped there; an alpha out of range or failing to evaluate then raises
+    at a position s*, every block runs on against the table capped there,
+    each group of paths until one of them stands on s*; an alpha out of range or failing to evaluate then raises
     InvalidDrift naming s* and the earliest step at which any path stands
     on it, and any other exception from alpha is raised as it is.
     """
     _check_run_args(seed, horizon, n_paths)
-    kernel = _load_kernel()
+    kernel = _load_kernel().walk
     table = _Thresholds(spec)
     threads = min(n_paths, _THREADS)
     bounds = [n_paths * j // threads for j in range(threads + 1)]

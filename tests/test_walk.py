@@ -1,10 +1,13 @@
 """Reflected walk: step law, chain mapping, classification, simulation."""
 
+import functools
 import math
 import os
 import shutil
+import subprocess
 import sys
 import threading
+import types
 from fractions import Fraction
 
 import pytest
@@ -449,6 +452,99 @@ class TestKernels:
         assert str(info.value) == message.format(23)
 
 
+@pytest.fixture(params=[1, 16])
+def lanes(request, monkeypatch):
+    """simulate run through one build of the kernel body, walk_1 or walk_16,
+    called directly whatever this CPU would pick; walk_16 is skipped on a
+    CPU without AVX-512F/DQ."""
+    library = walk._load_kernel()
+    if request.param > library.lanes_of():
+        pytest.skip("this CPU has no AVX-512F/DQ: walk_1 only")
+    kernel = getattr(library, f"walk_{request.param}")
+    assert kernel.lanes == request.param
+    monkeypatch.setattr(walk, "_load_kernel", lambda: types.SimpleNamespace(walk=kernel))
+    return request.param
+
+
+@functools.cache
+def _reference(seed, horizon, n_paths):
+    return simulate_reference(alpha_const(0.3).drift, seed, horizon, n_paths)
+
+
+class TestLanes:
+    """Both builds of the one kernel body: walk_1, which CPUs without
+    AVX-512 run, and walk_16, which advances 16 paths in lockstep."""
+
+    def test_cpu_picks_one_build(self):
+        library = walk._load_kernel()
+        assert library.lanes_of() in (1, 16)
+        assert library.walk.lanes == library.lanes_of()
+        if os.uname().machine != "x86_64":
+            assert library.lanes_of() == 1
+        elif os.path.exists("/proc/cpuinfo"):
+            with open("/proc/cpuinfo") as info:
+                flags = next(line for line in info if line.startswith("flags")).split()
+            avx512 = "avx512f" in flags and "avx512dq" in flags
+            assert library.lanes_of() == (16 if avx512 else 1)
+
+    @pytest.mark.parametrize("block", [1, 15, 16, 17, 33, 100])
+    def test_matches_reference(self, lanes, monkeypatch, block):
+        # Blocks of one path, of a group less or more one, and of partial
+        # groups, on 1 to 3 threads.
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(walk, "_THREADS", threads)
+            n_paths = block * threads
+            report = simulate(alpha_const(0.3).drift, seed=block, horizon=200, n_paths=n_paths)
+            assert report == _reference(block, 200, n_paths), (threads, n_paths)
+
+    @pytest.mark.parametrize("drift,seed,n_paths", [("out-of-range", 3, 30), ("fails", 5, 25)])
+    def test_failing_drift_names_earliest_step(self, lanes, monkeypatch, drift, seed, n_paths):
+        step = min(t for t in _first_stands(seed, n_paths, 300, FAILS_AT[drift])
+                   if t is not None)
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(walk, "_THREADS", threads)
+            with pytest.raises(InvalidDrift, match=rf" at step {step}$"):
+                simulate(KERNEL_DRIFTS[drift], seed=seed, horizon=300, n_paths=n_paths)
+
+    @pytest.mark.parametrize("n_paths,threads", [(1, 1), (3, 3), (17, 1), (20, 2), (33, 2)])
+    def test_partial_group_stands_where_a_path_stands(self, lanes, monkeypatch, n_paths,
+                                                      threads):
+        # A lane past the block's end replays the group's first path, so
+        # alpha is asked exactly at the positions the reference's paths
+        # stand on before a step, once each and in increasing order.
+        monkeypatch.setattr(walk, "_THREADS", threads)
+        asked, stood = [], set()
+
+        def record(into):
+            def alpha(n):
+                into(n)
+                return 0.3
+            return DriftSpec(alpha=alpha, C=0.5)
+
+        report = simulate(record(asked.append), seed=n_paths, horizon=60, n_paths=n_paths)
+        assert report == simulate_reference(record(stood.add), seed=n_paths, horizon=60,
+                                            n_paths=n_paths)
+        assert asked == sorted(stood)
+
+    @pytest.mark.parametrize("seed,horizon,n_paths,top,calls", [
+        (0, 1, 1, 2, [1]), (3, 7, 17, 6, [1, 2, 3, 4, 5]),
+    ])
+    def test_top_reached_on_the_last_step_is_not_evaluated(self, lanes, monkeypatch, seed,
+                                                          horizon, n_paths, top, calls):
+        # A group stalls for a missing threshold only before the horizon.
+        monkeypatch.setattr(walk, "_THREADS", 1)
+        asked = []
+
+        def alpha(n):
+            asked.append(n)
+            return 0.3
+
+        report = simulate(DriftSpec(alpha=alpha, C=0.5), seed=seed, horizon=horizon,
+                          n_paths=n_paths)
+        assert report.max_excursion == top
+        assert asked == calls
+
+
 class TestThreads:
     def test_error_of_alpha_in_a_worker_keeps_its_type(self, monkeypatch):
         # The main thread waits until the worker's block is done, so alpha
@@ -557,6 +653,14 @@ class TestKernelLoader:
             simulate(spec, seed=8, horizon=300, n_paths=30)
         assert rw_classify(spec).decision is Fate.TRANSIENT
         assert simulate_reference(spec, seed=8, horizon=30, n_paths=3).n_paths == 3
+
+    @needs_cc
+    def test_source_compiles_without_warnings(self, tmp_path):
+        proc = subprocess.run(
+            ["cc", *walk._KERNEL_FLAGS, "-Wall", "-Wextra", "-Werror",
+             "-o", str(tmp_path / "walk.so"), "-x", "c", "-"],
+            input=walk._KERNEL_SOURCE, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     @needs_cc
     def test_package_cache_first(self, caches):
