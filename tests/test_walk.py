@@ -663,6 +663,19 @@ class TestKernelLoader:
         assert proc.returncode == 0, proc.stderr
 
     @needs_cc
+    def test_build_without_the_x86_64_entry(self, caches, monkeypatch):
+        # As on a CPU other than x86-64: lanes_of() is 1, there is no
+        # walk_16, and simulate runs walk_1.
+        source = walk._KERNEL_SOURCE.replace("#if defined(__x86_64__)", "#if 0")
+        assert source != walk._KERNEL_SOURCE
+        library = walk._build_kernel(source)
+        assert library.lanes_of() == 1 and library.walk.lanes == 1
+        assert not hasattr(library, "walk_16")
+        monkeypatch.setattr(walk, "_load_kernel", lambda: library)
+        spec = alpha_const(0.3).drift
+        assert simulate(spec, 7, 500, 37) == simulate_reference(spec, 7, 500, 37)
+
+    @needs_cc
     def test_package_cache_first(self, caches):
         package, user = caches
         assert walk._build_kernel(walk._KERNEL_SOURCE) is not None
