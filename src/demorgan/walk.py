@@ -28,11 +28,12 @@ evaluated only at positions a path stands on, when one first does.
 The simulator's kernel is C, compiled with ``cc`` on first use and cached in
 the package ``__pycache__`` or the user cache directory.  The paths split
 into one contiguous block per thread, up to one thread per usable CPU, since
-the kernel runs without the interpreter lock.  A block runs its paths in
-groups of 16 in lockstep, one per lane of an AVX-512 register pair, on CPUs
-with AVX-512F/DQ, and one at a time elsewhere; both are builds of one C
-body, and the CPU picks one when the kernel is loaded.  Without a C
-compiler ``simulate`` raises OSError; the classifiers never need one.
+the kernel runs without the interpreter lock.  On CPUs with AVX-512F/DQ a
+block runs its paths in groups of 16 in lockstep, one per vector lane, and
+its last n % 16 paths one at a time; elsewhere it runs every path one at a
+time.  Both are builds of one C body, and the CPU picks one when the kernel
+is loaded.  Without a C compiler ``simulate`` raises OSError; the
+classifiers never need one.
 """
 
 from __future__ import annotations
@@ -63,16 +64,19 @@ _THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 
 # Walk kernel: lanes(W, ...) runs the paths i..n-1 of the block whose first
-# path is lo to the horizon in groups of W, the W paths of a group in lockstep,
-# writing their final positions to pos, and returns the first path of the
-# group that stands on position len (no threshold yet) before the horizon, or
-# n.  st[0] is the group's step count, resumed there unless it is 0 and the
-# group is (re)seeded; st[1..3] are the block's returned count, first-return
-# sum and maximum; st[4 + 4k .. 7 + 4k] are lane k's state, position, first
-# return and top.  A lane past n replays the group's first path, so a group
-# stands only where real paths stand.  The body is built twice: walk_16 for
-# CPUs with AVX-512F/DQ, where GCC turns the lane loops into 512-bit vector
-# code, and walk_1 for every other CPU; lanes_of() names the one to call.
+# path is lo, n - i a multiple of W, to the horizon in groups of W, the W paths
+# of a group in lockstep, writing their final positions to pos, and returns
+# the first path of the group that stands on position len (no threshold yet)
+# before the horizon, or n.  st[0] is the group's step count, resumed there
+# unless it is 0 and the group is (re)seeded; st[1..3] are the block's
+# returned count, first-return sum and maximum; st[4 + 4k .. 7 + 4k] are lane
+# k's state, position, first return and top.  The body is built twice:
+# walk_1 runs one path at a time, and walk_16 runs the block's whole groups of
+# 16 paths, which GCC turns into 512-bit vector code, then its last n % 16
+# paths through walk_1, so its i must be a group's first path or lie in that
+# tail, as _run_block keeps it.  lanes_of() names the one to call: 16 on CPUs
+# with AVX-512F/DQ, the set walk_16 is built for, where cc is GCC 12 or
+# later, the compiler it was measured with; 1 elsewhere.
 _KERNEL_SOURCE = f"""
 #include <stdint.h>
 static inline uint64_t mix(uint64_t z) {{
@@ -88,8 +92,8 @@ lanes(const int W, uint64_t master, int64_t lo, int64_t i, int64_t n, int64_t ho
     for (; i < n; i += W) {{
         int64_t t = st[0], top = 0;
         for (int k = 0; k < W; k++) {{
-            const int64_t *l = st + 4 + 4 * k, j = i + k < n ? i + k : i;
-            s[k] = t ? (uint64_t)l[0] : mix(master + (uint64_t)(lo + j + 1) * {GAMMA:#x}ULL);
+            const int64_t *l = st + 4 + 4 * k;
+            s[k] = t ? (uint64_t)l[0] : mix(master + (uint64_t)(lo + i + k + 1) * {GAMMA:#x}ULL);
             p[k] = t ? l[1] : 1; f[k] = t ? l[2] : 0; m[k] = t ? l[3] : 1;
             top = p[k] > top ? p[k] : top;
         }}
@@ -116,7 +120,7 @@ lanes(const int W, uint64_t master, int64_t lo, int64_t i, int64_t n, int64_t ho
             st[0] = t;
             return i;
         }}
-        for (int k = 0; k < W && i + k < n; k++) {{
+        for (int k = 0; k < W; k++) {{
             pos[i + k] = p[k];
             if (f[k]) {{ st[1]++; st[2] += f[k]; }}
             if (m[k] > st[3]) st[3] = m[k];
@@ -128,9 +132,14 @@ lanes(const int W, uint64_t master, int64_t lo, int64_t i, int64_t n, int64_t ho
 #define ARGS uint64_t master, int64_t lo, int64_t i, int64_t n, int64_t horizon, \\
     const uint64_t *thr, int64_t len, int64_t *st, int64_t *pos
 int64_t walk_1(ARGS) {{ return lanes(1, master, lo, i, n, horizon, thr, len, st, pos); }}
-#if defined(__x86_64__)
-__attribute__((target("arch=x86-64-v4")))
-int64_t walk_16(ARGS) {{ return lanes(16, master, lo, i, n, horizon, thr, len, st, pos); }}
+#if defined(__x86_64__) && !defined(__clang__) && __GNUC__ >= 12
+__attribute__((target("avx512f,avx512dq")))
+int64_t walk_16(ARGS) {{
+    int64_t full = n - n % 16;
+    if (i < full && (i = lanes(16, master, lo, i, full, horizon, thr, len, st, pos)) < full)
+        return i;
+    return walk_1(master, lo, i, n, horizon, thr, len, st, pos);
+}}
 int64_t lanes_of(void) {{
     __builtin_cpu_init();
     return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq") ? 16 : 1;
@@ -378,8 +387,8 @@ def _run_block(
     kernel, table: _Thresholds, seed: int, lo: int, n: int, horizon: int
 ) -> tuple[int, int, int, np.ndarray, int]:
     """(returned_count, first_return_sum, max_excursion, final_positions,
-    fail_step) of paths lo..lo + n - 1, in groups of ``kernel.lanes`` paths
-    run in lockstep.
+    fail_step) of paths lo..lo + n - 1: the first n - n % W in groups of
+    W = ``kernel.lanes`` paths run in lockstep, the rest one at a time.
 
     Once alpha has failed at the table's end s*, the block runs on against
     the capped table, abandoning each group at the first step that starts on
@@ -397,7 +406,7 @@ def _run_block(
         if grown == length:
             fail_step = min(fail_step, int(st[0]) + 1)
             st[0] = 0
-            i += kernel.lanes
+            i += kernel.lanes if i < n - n % kernel.lanes else 1
         length = grown
     return int(st[1]), int(st[2]), int(st[3]), pos, fail_step
 
@@ -411,15 +420,17 @@ def simulate(spec: DriftSpec, seed: int, horizon: int, n_paths: int) -> Simulati
     calling thread running the first; the blocks' counts, sums and maxima
     over their paths are combined in block order once every block is done.
     Each block runs in a compiled C kernel, in groups of 16 paths in
-    lockstep on CPUs with AVX-512F/DQ and of one path elsewhere, which the
-    per-path streams allow; it is built with ``cc`` on first use and cached
-    on disk, and without a C compiler this raises OSError.
+    lockstep on CPUs with AVX-512F/DQ, which the per-path streams allow, and
+    one path at a time elsewhere and for the last n % 16 paths of a block;
+    it is built with ``cc`` on first use and cached on disk, and without a C
+    compiler this raises OSError.
     alpha is evaluated only at the positions paths stand on, once each and
     in increasing order, in a table shared by all blocks.  When alpha fails
     at a position s*, every block runs on against the table capped there,
-    each group of paths until one of them stands on s*; an alpha out of range or failing to evaluate then raises
-    InvalidDrift naming s* and the earliest step at which any path stands
-    on it, and any other exception from alpha is raised as it is.
+    each group of paths until one of them stands on s*; an alpha out of
+    range or failing to evaluate then raises InvalidDrift naming s* and the
+    earliest step at which any path stands on it, and any other exception
+    from alpha is raised as it is.
     """
     _check_run_args(seed, horizon, n_paths)
     kernel = _load_kernel().walk

@@ -203,6 +203,27 @@ def _first_stands(seed, n_paths, horizon, target):
     return steps
 
 
+_LOAD_KERNEL = walk._load_kernel  # the loader itself, whatever a test patches in
+
+
+def _each_build(monkeypatch):
+    """Make simulate run each build of the kernel body this CPU can run, in
+    turn, called directly whatever the CPU would pick: walk_1, then walk_16
+    where lanes_of() is 16.  Yields the build's lane count."""
+    library = _LOAD_KERNEL()
+    for lanes in sorted({1, library.lanes_of()}):
+        kernel = getattr(library, f"walk_{lanes}")
+        assert kernel.lanes == lanes
+        monkeypatch.setattr(walk, "_load_kernel", functools.partial(types.SimpleNamespace,
+                                                                    walk=kernel))
+        yield lanes
+
+
+@functools.cache
+def _reference(seed, horizon, n_paths):
+    return simulate_reference(alpha_const(0.3).drift, seed, horizon, n_paths)
+
+
 class TestSimulation:
     """Simulation on two threads, so that blocks grow one table concurrently."""
 
@@ -307,25 +328,26 @@ class TestSimulation:
         # once and in increasing order, however the paths are split into
         # blocks of at most ``chunk`` paths, one per thread; in these runs the
         # highest position is reached before the last step, so that is
-        # exactly 1..max_excursion.  A short switch interval makes the
-        # threads interleave often.
+        # exactly 1..max_excursion, on each build of the kernel.  A short
+        # switch interval makes the threads interleave often.
         monkeypatch.setattr(walk, "_THREADS", min(8, -(-n_paths // chunk)))
-        calls = []
+        for lanes in _each_build(monkeypatch):
+            calls = []
 
-        def alpha(n):
-            calls.append(n)
-            return 0.3
+            def alpha(n):
+                calls.append(n)
+                return 0.3
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            report = simulate(DriftSpec(alpha=alpha, C=0.5), seed=seed, horizon=horizon,
-                              n_paths=n_paths)
-        finally:
-            sys.setswitchinterval(interval)
-        assert calls == list(range(1, report.max_excursion + 1))
-        assert report == simulate(alpha_const(0.3).drift, seed=seed, horizon=horizon,
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                report = simulate(DriftSpec(alpha=alpha, C=0.5), seed=seed, horizon=horizon,
                                   n_paths=n_paths)
+            finally:
+                sys.setswitchinterval(interval)
+            assert calls == list(range(1, report.max_excursion + 1)), lanes
+            assert report == simulate(alpha_const(0.3).drift, seed=seed, horizon=horizon,
+                                      n_paths=n_paths), lanes
 
     def test_failing_alpha_is_evaluated_once(self):
         # Every block runs on to find the earliest step at 30; none asks
@@ -426,49 +448,39 @@ class TestKernels:
         else:
             assert split == whole == reference
 
-    def test_examples_reach_their_failing_position(self):
-        # The two explicit examples above do reach their failing position.
+    def test_examples_reach_their_failing_position(self, monkeypatch):
+        # The two explicit examples above do reach their failing position,
+        # and each build of the kernel names the earliest step there, in one
+        # block of whole groups and a tail and in blocks of tails only.
         for drift, seed, n_paths in (("out-of-range", 3, 30), ("fails", 5, 25)):
-            with pytest.raises(InvalidDrift, match=r" at step \d+$"):
-                simulate(KERNEL_DRIFTS[drift], seed=seed, horizon=300, n_paths=n_paths)
+            steps = _first_stands(seed, n_paths, 300, FAILS_AT[drift])
+            step = min(t for t in steps if t is not None)
+            for lanes in _each_build(monkeypatch):
+                for threads in (1, 3):
+                    monkeypatch.setattr(walk, "_THREADS", threads)
+                    with pytest.raises(InvalidDrift, match=rf" at step {step}$"):
+                        simulate(KERNEL_DRIFTS[drift], seed=seed, horizon=300, n_paths=n_paths)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_later_block_reaching_first_names_its_step(self, monkeypatch, threads):
         # Seed 3: paths 0-3 first stand on 9 at steps 49, 43, 37, 29 and paths
         # 4-7 at 27, 23, 47, 35, so on two threads, in blocks of 4, the second
         # block gets there first; on one, a later path of the one block does.
-        # The error names step 23 on any schedule, where stopping at the
-        # first path that fails would name the first one's step 49.
+        # The error names step 23 on any schedule and build of the kernel,
+        # where stopping at the first path that fails would name the first
+        # one's step 49.
         assert _first_stands(3, 8, 300, 9) == [49, 43, 37, 29, 27, 23, 47, 35]
         spec = KERNEL_DRIFTS["out-of-range"]
         message = "alpha(9) = 0.9 violates 0 < alpha < min(C=0.5, n/2=4.5) at step {}"
-        monkeypatch.setattr(walk, "_THREADS", 1)
-        with pytest.raises(InvalidDrift) as info:
-            simulate(spec, seed=3, horizon=300, n_paths=4)
-        assert str(info.value) == message.format(29)
-        monkeypatch.setattr(walk, "_THREADS", threads)
-        with pytest.raises(InvalidDrift) as info:
-            simulate(spec, seed=3, horizon=300, n_paths=8)
-        assert str(info.value) == message.format(23)
-
-
-@pytest.fixture(params=[1, 16])
-def lanes(request, monkeypatch):
-    """simulate run through one build of the kernel body, walk_1 or walk_16,
-    called directly whatever this CPU would pick; walk_16 is skipped on a
-    CPU without AVX-512F/DQ."""
-    library = walk._load_kernel()
-    if request.param > library.lanes_of():
-        pytest.skip("this CPU has no AVX-512F/DQ: walk_1 only")
-    kernel = getattr(library, f"walk_{request.param}")
-    assert kernel.lanes == request.param
-    monkeypatch.setattr(walk, "_load_kernel", lambda: types.SimpleNamespace(walk=kernel))
-    return request.param
-
-
-@functools.cache
-def _reference(seed, horizon, n_paths):
-    return simulate_reference(alpha_const(0.3).drift, seed, horizon, n_paths)
+        for lanes in _each_build(monkeypatch):
+            monkeypatch.setattr(walk, "_THREADS", 1)
+            with pytest.raises(InvalidDrift) as info:
+                simulate(spec, seed=3, horizon=300, n_paths=4)
+            assert str(info.value) == message.format(29), lanes
+            monkeypatch.setattr(walk, "_THREADS", threads)
+            with pytest.raises(InvalidDrift) as info:
+                simulate(spec, seed=3, horizon=300, n_paths=8)
+            assert str(info.value) == message.format(23), lanes
 
 
 class TestLanes:
@@ -476,10 +488,10 @@ class TestLanes:
     AVX-512 run, and walk_16, which advances 16 paths in lockstep."""
 
     def test_cpu_picks_one_build(self):
-        library = walk._load_kernel()
+        library = _LOAD_KERNEL()
         assert library.lanes_of() in (1, 16)
         assert library.walk.lanes == library.lanes_of()
-        if os.uname().machine != "x86_64":
+        if not hasattr(library, "walk_16"):  # not x86-64, or not GCC 12 or later
             assert library.lanes_of() == 1
         elif os.path.exists("/proc/cpuinfo"):
             with open("/proc/cpuinfo") as info:
@@ -488,61 +500,35 @@ class TestLanes:
             assert library.lanes_of() == (16 if avx512 else 1)
 
     @pytest.mark.parametrize("block", [1, 15, 16, 17, 33, 100])
-    def test_matches_reference(self, lanes, monkeypatch, block):
-        # Blocks of one path, of a group less or more one, and of partial
-        # groups, on 1 to 3 threads.
-        for threads in (1, 2, 3):
-            monkeypatch.setattr(walk, "_THREADS", threads)
-            n_paths = block * threads
-            report = simulate(alpha_const(0.3).drift, seed=block, horizon=200, n_paths=n_paths)
-            assert report == _reference(block, 200, n_paths), (threads, n_paths)
-
-    @pytest.mark.parametrize("drift,seed,n_paths", [("out-of-range", 3, 30), ("fails", 5, 25)])
-    def test_failing_drift_names_earliest_step(self, lanes, monkeypatch, drift, seed, n_paths):
-        step = min(t for t in _first_stands(seed, n_paths, 300, FAILS_AT[drift])
-                   if t is not None)
-        for threads in (1, 2, 3):
-            monkeypatch.setattr(walk, "_THREADS", threads)
-            with pytest.raises(InvalidDrift, match=rf" at step {step}$"):
-                simulate(KERNEL_DRIFTS[drift], seed=seed, horizon=300, n_paths=n_paths)
-
-    @pytest.mark.parametrize("n_paths,threads", [(1, 1), (3, 3), (17, 1), (20, 2), (33, 2)])
-    def test_partial_group_stands_where_a_path_stands(self, lanes, monkeypatch, n_paths,
-                                                      threads):
-        # A lane past the block's end replays the group's first path, so
-        # alpha is asked exactly at the positions the reference's paths
-        # stand on before a step, once each and in increasing order.
-        monkeypatch.setattr(walk, "_THREADS", threads)
-        asked, stood = [], set()
-
-        def record(into):
-            def alpha(n):
-                into(n)
-                return 0.3
-            return DriftSpec(alpha=alpha, C=0.5)
-
-        report = simulate(record(asked.append), seed=n_paths, horizon=60, n_paths=n_paths)
-        assert report == simulate_reference(record(stood.add), seed=n_paths, horizon=60,
-                                            n_paths=n_paths)
-        assert asked == sorted(stood)
+    def test_matches_reference(self, monkeypatch, block):
+        # Blocks of one path, of a group less or more one, and of whole
+        # groups with a tail, on 1 to 3 threads.
+        for lanes in _each_build(monkeypatch):
+            for threads in (1, 2, 3):
+                monkeypatch.setattr(walk, "_THREADS", threads)
+                n_paths = block * threads
+                report = simulate(alpha_const(0.3).drift, seed=block, horizon=200,
+                                  n_paths=n_paths)
+                assert report == _reference(block, 200, n_paths), (lanes, threads, n_paths)
 
     @pytest.mark.parametrize("seed,horizon,n_paths,top,calls", [
         (0, 1, 1, 2, [1]), (3, 7, 17, 6, [1, 2, 3, 4, 5]),
     ])
-    def test_top_reached_on_the_last_step_is_not_evaluated(self, lanes, monkeypatch, seed,
-                                                          horizon, n_paths, top, calls):
+    def test_top_reached_on_the_last_step_is_not_evaluated(self, monkeypatch, seed, horizon,
+                                                          n_paths, top, calls):
         # A group stalls for a missing threshold only before the horizon.
         monkeypatch.setattr(walk, "_THREADS", 1)
-        asked = []
+        for lanes in _each_build(monkeypatch):
+            asked = []
 
-        def alpha(n):
-            asked.append(n)
-            return 0.3
+            def alpha(n):
+                asked.append(n)
+                return 0.3
 
-        report = simulate(DriftSpec(alpha=alpha, C=0.5), seed=seed, horizon=horizon,
-                          n_paths=n_paths)
-        assert report.max_excursion == top
-        assert asked == calls
+            report = simulate(DriftSpec(alpha=alpha, C=0.5), seed=seed, horizon=horizon,
+                              n_paths=n_paths)
+            assert report.max_excursion == top, lanes
+            assert asked == calls, lanes
 
 
 class TestThreads:
@@ -664,9 +650,10 @@ class TestKernelLoader:
 
     @needs_cc
     def test_build_without_the_x86_64_entry(self, caches, monkeypatch):
-        # As on a CPU other than x86-64: lanes_of() is 1, there is no
-        # walk_16, and simulate runs walk_1.
-        source = walk._KERNEL_SOURCE.replace("#if defined(__x86_64__)", "#if 0")
+        # As on a CPU other than x86-64, or with a compiler older than GCC
+        # 12: lanes_of() is 1, there is no walk_16, and simulate runs walk_1.
+        guard = "#if defined(__x86_64__) && !defined(__clang__) && __GNUC__ >= 12\n"
+        source = walk._KERNEL_SOURCE.replace(guard, "#if 0\n")
         assert source != walk._KERNEL_SOURCE
         library = walk._build_kernel(source)
         assert library.lanes_of() == 1 and library.walk.lanes == 1
