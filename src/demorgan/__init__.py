@@ -1,9 +1,9 @@
 """Convergence tests for positive series and the recurrence classifiers built on them.
 
 The core is a ratio-test hierarchy indexed by an iterated-logarithm depth K:
-Kummer's test with arbitrary positive weights, extraction of the deepest
-correction coefficient s_n from a term ratio, fixed-depth verdicts, and an
-adaptive classifier that escalates depth until the evidence is trustworthy.
+extraction of the deepest correction coefficient s_n from a term ratio,
+fixed-depth verdicts, and an adaptive classifier that escalates depth until
+the evidence is trustworthy.
 Applied layers classify birth-death chains and reflected random walks as
 recurrent or transient, with a deterministic Monte Carlo simulator for
 empirical corroboration.
@@ -19,15 +19,11 @@ from .birthdeath import (
 from .convergence import (
     ClassifyConfig,
     Decision,
-    KummerWeight,
     RatioSpec,
     Verdict,
     adaptive_classify,
     extended_bdm_test,
     extract_sn,
-    kummer_rho,
-    kummer_test,
-    reconstruct_ratio,
     sample_grid,
 )
 from .errors import (
@@ -75,7 +71,6 @@ __all__ = [
     "InvalidDrift",
     "InvalidWindow",
     "K_MAX_NUMERIC",
-    "KummerWeight",
     "RWClassification",
     "RatioSpec",
     "SimulationReport",
@@ -88,11 +83,8 @@ __all__ = [
     "extract_sn",
     "iterlog",
     "iterlog_product",
-    "kummer_rho",
-    "kummer_test",
     "min_domain",
     "parse_expression",
-    "reconstruct_ratio",
     "recurrence_ratio",
     "rw_classify",
     "rw_to_bdp",

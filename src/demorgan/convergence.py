@@ -1,4 +1,4 @@
-"""Ratio-test hierarchy: Kummer's test, coefficient extraction, verdicts.
+"""Ratio-test hierarchy: coefficient extraction, fixed-depth and adaptive verdicts.
 
 The central object is the expansion
 
@@ -25,10 +25,10 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import DomainError, EvalError, InvalidWindow
-from .iterlog import K_MAX_NUMERIC, _check_index, iterlog, iterlog_product, min_domain, zeta_weight
+from .iterlog import INDEX_LIMIT, K_MAX_NUMERIC, _check_index, iterlog, min_domain
 
 # A no-delta subtraction that lost more than half the significand of the
 # unit-scale term is unreliable; 2**-26 marks that point.
@@ -72,38 +72,8 @@ class RatioSpec:
         return r
 
 
-@dataclass(frozen=True)
-class KummerWeight:
-    """Positive weight sequence for Kummer's test.
-
-    A divergence verdict is only sound when the reciprocal sum of the weights
-    diverges; that side condition is not machine-checkable, so constructors
-    must assert it explicitly.  The built-in iterated-log weights carry the
-    flag because their reciprocal sums diverge by integral comparison.
-    """
-
-    zeta: Callable[[int], float]
-    reciprocal_sum_diverges: bool
-    first_index: int = 1
-
-    @classmethod
-    def from_level(cls, K: int) -> "KummerWeight":
-        return cls(
-            zeta=lambda n: zeta_weight(K, n),
-            reciprocal_sum_diverges=True,
-            first_index=min_domain(K),
-        )
-
-    def zeta_at(self, n: int) -> float:
-        z = float(self.zeta(n))
-        if not z > 0.0:
-            raise DomainError(f"weight at n={n} is {z}, must be > 0")
-        return z
-
-
-@dataclass(frozen=True)
-class SamplePoint:
-    """One sampled statistic; not ``usable`` when it raised or cancellation ate its bits."""
+class SamplePoint(NamedTuple):
+    """One sampled coefficient; not ``usable`` when it raised or cancellation ate its bits."""
 
     n: int
     value: float
@@ -131,10 +101,9 @@ class GuardReport:
 class Verdict:
     """One depth's tail-window test, with the evidence that produced it.
 
-    ``s_min``/``s_max`` are the extrema of the usable tail samples (the
-    Kummer statistic rho for :func:`kummer_test`, the extracted coefficient
-    for the depth tests).  A Converges decision implies s_min > threshold +
-    margin over the tail; Diverges implies s_max < threshold - margin.
+    ``s_min``/``s_max`` are the extrema of the extracted coefficient over the
+    usable tail samples.  A Converges decision implies s_min > 1 + margin
+    over the tail; Diverges implies s_max < 1 - margin.
     Of the ``samples``, ``usable`` can enter the tail and ``dropped`` raised
     or lost their bits to cancellation.  :func:`adaptive_classify` keeps one
     Verdict per depth tried in ``trace``, with the next-level ``guard`` run
@@ -233,58 +202,68 @@ def _geometric_grid(lo: int, hi: int, count: int) -> tuple[int, ...]:
     return tuple(grid)
 
 
-def _usable_tail(points: Sequence[SamplePoint], tail_fraction: float) -> list[SamplePoint]:
-    """Last quarter (by default) of the usable samples.
+@functools.lru_cache(maxsize=4096)  # about 450 bytes an entry: at most 1.9 MB
+def _chain(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The log-chain weights of an int index n in [1, 2**53), and their reciprocals.
 
-    Samples that tripped a precision warning or failed to evaluate are
-    excluded before the tail is taken: a poisoned sample must not decide a
-    verdict, and a run of poisoned samples at the top of the window must not
-    blind the test to the believable evidence below them.
+    ``weights[K - 1]`` is n * ln(n) * ... * ln_(K)(n) for each depth
+    K <= K_MAX_NUMERIC with ln_(K)(n) > 0, in iterlog_product's operation
+    order, so it is bit-identical to ``zeta_weight(K, n)`` (n < 2**53, so
+    n * p rounds as float(n) * p does).
     """
-    usable = [p for p in points if p.usable]
-    k = max(1, math.ceil(len(usable) * tail_fraction))
-    return usable[len(usable) - k:]
+    weights, v, p = [], float(n), 1.0
+    for _ in range(K_MAX_NUMERIC):
+        v = math.log(v)
+        if not v > 0.0:
+            break
+        p *= v
+        weights.append(n * p)
+    return tuple(weights), tuple(1.0 / w for w in weights)
 
 
-def kummer_rho(weight: KummerWeight, ratio: RatioSpec, n: int, use_delta: bool = True) -> float:
-    """Kummer statistic zeta_n * (a_n/a_{n+1}) - zeta_{n+1}.
+def _sample(K: int, grid: Sequence[int], ratio: RatioSpec, use_delta: bool,
+            states: dict, strict: bool = False) -> tuple[SamplePoint, ...]:
+    """The depth-K SamplePoint of s_n at each index of ``grid``, for depths that never fall.
 
-    With a cancellation-free delta available this is computed as
-    zeta_n * delta(n) - (zeta_{n+1} - zeta_n), which avoids differencing two
-    nearly equal products.
+    ``states`` carries each visited index from one depth to the next as
+    (k, t): t is delta(n) - 1/n less the terms 1/(n * ln(n) * ... * ln_(i)(n))
+    for 0 < i < k, with delta(n) := ratio(n) - 1 when no exact delta is
+    used.  The first visit calls the source once; a deeper one subtracts
+    the cached terms for k <= i < K and multiplies by the cached depth-K
+    weight, so s_n is bit-identical at any depth.  ``usable`` is False when
+    the subtraction chain, starting from a raw ratio, lost more than half
+    the significand.  An index whose source raised, or that is not an int
+    in [1, 2**53), is unusable at every later depth, with no second call;
+    its state is empty, not the exception, whose traceback would tie the
+    states into a reference cycle.  With ``strict`` the error propagates.
     """
-    if n < max(weight.first_index, ratio.first_index):
-        raise DomainError(f"kummer_rho: n={n} precedes the weight/ratio domain")
-    if ratio.last_index is not None and n > ratio.last_index:
-        raise DomainError(f"kummer_rho: n={n} beyond ratio domain end {ratio.last_index}")
-    zn = weight.zeta_at(n)
-    zn1 = weight.zeta_at(n + 1)
-    if use_delta and ratio.delta is not None:
-        return zn * float(ratio.delta(n)) - (zn1 - zn)
-    return zn * ratio.ratio_at(n) - zn1
-
-
-def kummer_test(
-    weight: KummerWeight,
-    ratio: RatioSpec,
-    window: tuple[int, int],
-    margin: float,
-    samples: int = DEFAULT_SAMPLES,
-    tail_fraction: float = DEFAULT_TAIL_FRACTION,
-    use_delta: bool = True,
-) -> Verdict:
-    """Tail-window Kummer test.
-
-    Converges when the tail minimum of rho exceeds +margin; diverges when the
-    tail maximum is below -margin *and* the weight declares a divergent
-    reciprocal sum; otherwise inconclusive.
-    """
-    return _tail_window_test(
-        lambda n: SamplePoint(n, kummer_rho(weight, ratio, n, use_delta=use_delta), True),
-        _effective_window(ratio, window, weight.first_index), ratio.support,
-        margin, samples, tail_fraction,
-        threshold=0.0, min_tail=1, may_diverge=weight.reciprocal_sum_diverges, level=None,
-    )
+    exact = use_delta and ratio.delta is not None
+    points = []
+    for n in grid:
+        state = states.get(n)
+        if state is None:
+            try:
+                t = (float(ratio.delta(n)) if exact else ratio.ratio_at(n) - 1.0) - 1.0 / n
+                if type(n) is not int or not 0 < n < INDEX_LIMIT:
+                    _check_index(n)  # raises, with the reason
+            except (DomainError, EvalError, ArithmeticError):
+                if strict:
+                    raise
+                states[n] = ()
+                points.append(SamplePoint(n, math.nan, False))
+                continue
+            k = 1
+        elif state:
+            k, t = state
+        else:
+            points.append(SamplePoint(n, math.nan, False))
+            continue
+        weights, reciprocals = _chain(n)
+        for i in range(k, K):
+            t -= reciprocals[i - 1]
+        states[n] = K, t
+        points.append(SamplePoint(n, t * weights[K - 1], exact or not abs(t) < _CANCEL_THRESHOLD))
+    return tuple(points)
 
 
 def extract_sn(K: int, ratio: RatioSpec, n: int, use_delta: bool = True) -> SamplePoint:
@@ -295,63 +274,16 @@ def extract_sn(K: int, ratio: RatioSpec, n: int, use_delta: bool = True) -> Samp
     empty sum at K = 1 contributes nothing.  The result is the
     ``SamplePoint(n, s_n, usable)`` that a depth-K test records at n;
     ``usable`` is False when the subtraction chain, starting from a raw
-    ratio, lost more than half the significand.  This is one call of a
-    fresh :func:`_sampler`, through which the fixed-depth and adaptive tests
-    evaluate the source once per sampled index per verdict.
+    ratio, lost more than half the significand.  This is :func:`_sample` on
+    a grid of one, the routine through which the fixed-depth and adaptive
+    tests sample their windows; an error of the source propagates.
     """
     lo = max(ratio.first_index, min_domain(K))
     if n < lo:
         raise DomainError(f"extract_sn: n={n} below first admissible index {lo} at depth {K}")
     if ratio.last_index is not None and n > ratio.last_index:
         raise DomainError(f"extract_sn: n={n} beyond ratio domain end {ratio.last_index}")
-    return _sampler(ratio, use_delta)(K, n)
-
-
-def _sampler(ratio: RatioSpec, use_delta: bool) -> Callable[[int, int], SamplePoint]:
-    """The SamplePoint of s_n at depth K, for depths that never fall.
-
-    Each index calls the source once and keeps the loop state (k, t, v, p);
-    one more depth then costs one subtraction, one log and one multiply, in
-    iterlog_product's operation order, so s_n is bit-identical at any depth
-    (n < 2^53, so n * p rounds as float(n) * p does).  An index whose source
-    raised is unusable at every later depth, with no second call; it keeps
-    an empty state, not the exception, whose traceback would tie this state
-    into a reference cycle.
-    """
-    states: dict[int, list] = {}
-    exact = use_delta and ratio.delta is not None
-
-    def sample(K: int, n: int) -> SamplePoint:
-        state = states.get(n)
-        if state is None:
-            states[n] = []  # stays empty if the source raises
-            t = (float(ratio.delta(n)) if exact else ratio.ratio_at(n) - 1.0) - 1.0 / n
-            _check_index(n)
-            state = states[n] = [0, t, float(n), 1.0]
-        elif not state:
-            return SamplePoint(n, math.nan, False)
-        k, t, v, p = state
-        for i in range(k, K):
-            if i:
-                t -= 1.0 / (n * p)
-            v = math.log(v)
-            p *= v
-        state[:] = K, t, v, p
-        return SamplePoint(n, t * (n * p), exact or not abs(t) < _CANCEL_THRESHOLD)
-    return sample
-
-
-def reconstruct_ratio(K: int, s: float, n: int) -> float:
-    """Right side of the depth-K expansion evaluated at (s, n).
-
-    Inverse of :func:`extract_sn` up to rounding: feeding an extracted s back
-    reproduces the ratio to within a few ulps.
-    """
-    t = s / zeta_weight(K, n)
-    for i in range(K - 1, 0, -1):
-        t += 1.0 / (float(n) * iterlog_product(i, n))
-    t += 1.0 / n
-    return 1.0 + t
+    return _sample(K, (n,), ratio, use_delta, {}, strict=True)[0]
 
 
 def _effective_window(
@@ -374,56 +306,6 @@ def _effective_window(
     return lo, hi
 
 
-def _tail_window_test(
-    statistic: Callable[[int], SamplePoint],
-    window: tuple[int, int],
-    support: Sequence[int] | None,
-    margin: float,
-    samples: int,
-    tail_fraction: float,
-    *,
-    threshold: float,
-    min_tail: int,
-    may_diverge: bool,
-    level: int | None,
-) -> Verdict:
-    """Sample ``statistic`` over the clipped window and decide on its usable tail.
-
-    ``statistic(n)`` gives the SamplePoint at n; a sample that raised is
-    kept as unusable, like one that lost its bits to cancellation.  Converges
-    when the tail minimum exceeds threshold + margin; diverges when the tail
-    maximum is below threshold - margin and ``may_diverge`` holds;
-    inconclusive otherwise or when fewer than ``min_tail`` usable samples
-    fall in the tail.  Excluding a poisoned sample can only widen
-    Inconclusive; keeping it could flip a verdict.
-    """
-    if not 0 < margin < math.inf:
-        raise ValueError(f"margin must be finite and positive, got {margin}")
-    pts = []
-    for n in sample_grid(*window, samples, support):
-        try:
-            pts.append(statistic(n))
-        except (DomainError, EvalError, ArithmeticError):
-            pts.append(SamplePoint(n, math.nan, False))
-    tail = _usable_tail(pts, tail_fraction)
-    usable = sum(p.usable for p in pts)
-    dropped = len(pts) - usable
-    if len(tail) < min_tail:
-        note = "too few usable tail samples" if min_tail > 1 else "no usable tail samples"
-        return Verdict(Decision.INCONCLUSIVE, level, window, None, None, margin,
-                       tuple(pts), dropped, note=note, usable=usable)
-    s_min = min(p.value for p in tail)
-    s_max = max(p.value for p in tail)
-    if s_min > threshold + margin:
-        decision = Decision.CONVERGES
-    elif s_max < threshold - margin and may_diverge:
-        decision = Decision.DIVERGES
-    else:
-        decision = Decision.INCONCLUSIVE
-    return Verdict(decision, level, window, s_min, s_max, margin, tuple(pts), dropped,
-                   usable=usable)
-
-
 def extended_bdm_test(
     K: int,
     ratio: RatioSpec,
@@ -439,24 +321,73 @@ def extended_bdm_test(
     extraction raised a domain error or tripped the cancellation warning are
     recorded but excluded from the tail extrema.
     """
-    return _depth_test(K, ratio, _sampler(ratio, use_delta), window, margin, samples,
-                       tail_fraction)
+    return _depth_test(K, ratio, window or (DEFAULT_WINDOW_FLOOR, DEFAULT_WINDOW_HI), margin,
+                       samples, tail_fraction, use_delta, {})
 
 
-def _depth_test(K: int, ratio: RatioSpec, sample: Callable[[int, int], SamplePoint],
-                window: tuple[int, int] | None, margin: float, samples: int,
-                tail_fraction: float) -> Verdict:
-    window = _effective_window(ratio, window or (DEFAULT_WINDOW_FLOOR, DEFAULT_WINDOW_HI),
-                               min_domain(K), f" at depth {K}")
-    return _tail_window_test(
-        lambda n: sample(K, n), window, ratio.support, margin, samples, tail_fraction,
-        threshold=1.0, min_tail=2, may_diverge=True, level=K,
-    )
+def _depth_test(K: int, ratio: RatioSpec, window: tuple[int, int], margin: float,
+                samples: int, tail_fraction: float, use_delta: bool, states: dict,
+                config: ClassifyConfig | None = None) -> Verdict:
+    """Sample s_n at depth K over the clipped window and decide on its usable tail.
+
+    Converges when the tail minimum exceeds 1 + margin; diverges when the
+    tail maximum is below 1 - margin; inconclusive otherwise or when fewer
+    than two usable samples fall in the tail.  The tail is the last
+    ``tail_fraction`` of the usable samples: one that raised or lost its
+    bits to cancellation is recorded but left out before the tail is taken,
+    so a poisoned sample cannot decide a verdict, and a run of them at the
+    top of the window cannot blind the test to the believable samples below.
+    Leaving one out can only widen Inconclusive.  ``states`` carries the
+    sampled indices from depth to depth (:func:`_sample`).  With the
+    adaptive walk's ``config``, the verdict also carries the guard run on a
+    decisive depth and the reason to escalate past it.
+    """
+    window = _effective_window(ratio, window, min_domain(K), f" at depth {K}")
+    if not 0 < margin < math.inf:
+        raise ValueError(f"margin must be finite and positive, got {margin}")
+    points = _sample(K, sample_grid(*window, samples, ratio.support), ratio, use_delta, states)
+    usable = [p for p in points if p.usable]
+    tail = usable[len(usable) - max(1, math.ceil(len(usable) * tail_fraction)):]
+    dropped = len(points) - len(usable)
+    if len(tail) < 2:
+        return Verdict(Decision.INCONCLUSIVE, K, window, None, None, margin, points, dropped,
+                       note="too few usable tail samples", usable=len(usable))
+    s_min = min(p.value for p in tail)
+    s_max = max(p.value for p in tail)
+    if s_min > 1.0 + margin:
+        decision = Decision.CONVERGES
+    elif s_max < 1.0 - margin:
+        decision = Decision.DIVERGES
+    else:
+        decision = Decision.INCONCLUSIVE
+    guard, reason = (None, "") if config is None else _escalation(
+        K, decision, tail, s_min, s_max, config)
+    return Verdict(decision, K, window, s_min, s_max, margin, points, dropped,
+                   usable=len(usable), guard=guard, escalated=reason)
+
+
+def _escalation(K: int, decision: Decision, tail: list[SamplePoint], s_min: float,
+                s_max: float, config: ClassifyConfig) -> tuple[GuardReport | None, str]:
+    """The guard run on a decisive depth, and the reason to escalate past it ("" to stop).
+
+    A decisive depth escalates when its guard fails; an inconclusive one
+    when its tail hovers inside the near-one band, where the next level's
+    correction term can plausibly account for the gap.
+    """
+    if decision is Decision.INCONCLUSIVE:
+        band = config.near_one_band
+        in_band = abs(s_min - 1.0) <= band and abs(s_max - 1.0) <= band
+        return None, "tail hovers near the critical value" if in_band else ""
+    guard = _consistency_guard(K, decision, tail, s_min, s_max, config) if config.guard else None
+    return guard, "" if guard is None or guard.passed else "next-level growth check failed"
 
 
 def _consistency_guard(
     K: int,
-    verdict: Verdict,
+    decision: Decision,
+    tail: list[SamplePoint],
+    s_min: float,
+    s_max: float,
     config: ClassifyConfig,
 ) -> GuardReport | None:
     """Check that a decisive depth-K verdict is consistent with depth K+1.
@@ -465,13 +396,12 @@ def _consistency_guard(
     depth-K tail genuinely settles away from 1, the next-level coefficient
     must grow (Converges) or fall (Diverges) by about gap * d(ln_(K+1));
     requires at least ``guard_threshold`` of that ideal change.  Returns None
-    when depth K+1 is out of numeric reach for the sampled window.
+    when depth K+1 is out of numeric reach for the sampled tail.
     """
     if K + 1 > K_MAX_NUMERIC:
         return None
     cutoff = min_domain(K + 1)
-    tail = [p for p in _usable_tail(verdict.samples, config.tail_fraction)
-            if p.n >= cutoff]
+    tail = [p for p in tail if p.n >= cutoff]
     if len(tail) < 2:
         return None
     first, last = tail[0], tail[-1]
@@ -481,11 +411,11 @@ def _consistency_guard(
     if span <= 1e-9:
         return None
     growth = (last.value - 1.0) * l_hi - (first.value - 1.0) * l_lo
-    if verdict.decision is Decision.CONVERGES:
-        required = config.guard_threshold * (verdict.s_min - 1.0) * span
+    if decision is Decision.CONVERGES:
+        required = config.guard_threshold * (s_min - 1.0) * span
         passed = growth >= required
     else:
-        required = config.guard_threshold * (verdict.s_max - 1.0) * span
+        required = config.guard_threshold * (s_max - 1.0) * span
         passed = growth <= required
     return GuardReport(passed, growth, required, first.n, last.n)
 
@@ -500,38 +430,26 @@ def adaptive_classify(ratio: RatioSpec, config: ClassifyConfig | None = None) ->
     that the next depth resolves.  An inconclusive verdict escalates only
     when the tail hovers inside the near-one band.  The returned verdict
     carries the full escalation trace, one Verdict per depth tried.  The
-    depths share one sampler, so the source is evaluated once per sampled
-    index, whatever the depth reached.
+    depths share their sampled states, so the source is evaluated once per
+    sampled index, whatever the depth reached.
     """
     config = config or ClassifyConfig()
     trace: list[Verdict] = []
-    verdict: Verdict | None = None
-    sample = _sampler(ratio, config.use_delta)
+    states: dict = {}
     for K in range(config.k_start, config.k_max + 1):
         try:
-            verdict = _depth_test(
-                K, ratio, sample, (config.window_lo, config.window_hi), config.margin,
-                config.samples, config.tail_fraction,
-            )
+            verdict = _depth_test(K, ratio, (config.window_lo, config.window_hi), config.margin,
+                                  config.samples, config.tail_fraction, config.use_delta,
+                                  states, config)
         except InvalidWindow as exc:
-            base = verdict or Verdict(Decision.INCONCLUSIVE, K, (0, 0), None, None, config.margin)
+            base = trace[-1] if trace else Verdict(Decision.INCONCLUSIVE, K, (0, 0), None, None,
+                                                   config.margin)
             return replace(base, decision=Decision.INCONCLUSIVE, trace=tuple(trace),
                            note=f"depth {K} not reachable: {exc}")
-        decisive = verdict.decision is not Decision.INCONCLUSIVE
-        guard = _consistency_guard(K, verdict, config) if decisive and config.guard else None
-        if decisive:
-            reason = "" if guard is None or guard.passed else "next-level growth check failed"
-        else:
-            in_band = (
-                verdict.s_min is not None
-                and abs(verdict.s_min - 1.0) <= config.near_one_band
-                and abs(verdict.s_max - 1.0) <= config.near_one_band
-            )
-            reason = "tail hovers near the critical value" if in_band else ""
-        verdict = replace(verdict, guard=guard, escalated=reason)
         trace.append(verdict)
-        if not reason:
+        if not verdict.escalated:
             return replace(verdict, trace=tuple(trace))
-    note = (f"decisive at depth {K} but {reason}" if decisive
-            else verdict.note or f"stopped at depth {K} ({reason}, no depth left)")
+    note = (f"decisive at depth {K} but {verdict.escalated}"
+            if verdict.decision is not Decision.INCONCLUSIVE
+            else verdict.note or f"stopped at depth {K} ({verdict.escalated}, no depth left)")
     return replace(verdict, decision=Decision.INCONCLUSIVE, trace=tuple(trace), note=note)

@@ -16,12 +16,7 @@ import pytest
 
 from demorgan import walk
 from demorgan.birthdeath import Fate, bdp_classify
-from demorgan.convergence import (
-    Decision,
-    adaptive_classify,
-    extract_sn,
-    reconstruct_ratio,
-)
+from demorgan.convergence import Decision, adaptive_classify, extract_sn
 from demorgan.errors import EvalError, ExpressionSyntaxError
 from demorgan.expr import parse_expression
 from demorgan.families import (
@@ -36,6 +31,7 @@ from demorgan.iterlog import min_domain, zeta_weight
 from demorgan.walk import simulate
 
 import oracle as hp
+from oracle import reconstruct_ratio
 
 
 def _line(num: int, name: str, passed: bool, detail: str) -> None:

@@ -1,29 +1,28 @@
-"""Kummer test, coefficient extraction, fixed-depth and adaptive verdicts."""
+"""Coefficient extraction, fixed-depth and adaptive verdicts, and the Kummer oracle."""
 
 import gc
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from demorgan.convergence import (
     ClassifyConfig,
     Decision,
-    KummerWeight,
     RatioSpec,
+    SamplePoint,
     adaptive_classify,
     extended_bdm_test,
     extract_sn,
-    kummer_rho,
-    kummer_test,
-    reconstruct_ratio,
     sample_grid,
 )
 from demorgan.errors import DomainError, EvalError, InvalidWindow
 from demorgan.expr import parse_expression
 from demorgan.families import (
+    ACCEPTANCE_CATALOG,
     _term_ratio,
     geometric,
     iterlog_power,
@@ -35,6 +34,7 @@ from demorgan.iterlog import INDEX_LIMIT, iterlog_product, min_domain, zeta_weig
 from demorgan.tables import ratio_spec_from_rows
 
 import oracle as hp
+from oracle import KummerWeight, kummer_rho, kummer_test, reconstruct_ratio
 
 
 def harmonic_spec() -> RatioSpec:
@@ -498,16 +498,30 @@ def _extracted(K, spec, n, use_delta):
 
 
 class _CountingDelta:
-    """A delta that counts its calls per index and fails with EvalError at ``fail_at``."""
+    """A source that counts its calls per index and raises ``error`` at ``fail_at``."""
 
-    def __init__(self, delta, fail_at=None):
-        self.delta, self.fail_at, self.calls = delta, fail_at, {}
+    def __init__(self, delta, fail_at=None, error=EvalError):
+        self.delta, self.fail_at, self.error, self.calls = delta, fail_at, error, {}
 
     def __call__(self, n):
         self.calls[n] = self.calls.get(n, 0) + 1
         if n == self.fail_at:
-            raise EvalError(f"no value at n={n}")
+            raise self.error(f"no value at n={n}")
         return self.delta(n)
+
+
+def _per_level_point(K, spec, n, use_delta):
+    """The SamplePoint at n by the per-level formula, (n, nan, False) where it raises."""
+    try:
+        s, warned = _per_level_sn(K, spec, n, use_delta)
+    except (DomainError, EvalError, ArithmeticError):
+        return n, math.nan.hex(), False
+    return n, s.hex(), not warned
+
+
+# The default window; one whose depth 4 meets indices that depths 1-3 did not
+# sample (min_domain(4) = 3,814,280); and one reaching past 2**53.
+SAMPLER_WINDOWS = [(100, 10**7), (10**6, 2 * 10**7), (100, 10**19)]
 
 
 class TestSampler:
@@ -541,6 +555,40 @@ class TestSampler:
             assert r.usable + r.dropped == len(r.samples)
         if v.trace and v.trace[-1].escalated == "":
             assert v.guard is v.trace[-1].guard
+
+    @given(spec=st.sampled_from(SAMPLER_SPECS), use_delta=st.booleans(),
+           window=st.sampled_from(SAMPLER_WINDOWS), k_start=st.integers(1, 4),
+           fail=st.one_of(st.none(), st.floats(0.0, 1.0)))
+    @example(spec=iterlog_power(2, 1.0).ratio_spec, use_delta=True, window=SAMPLER_WINDOWS[1],
+             k_start=1, fail=0.0)
+    @example(spec=SAMPLER_SPECS[-1], use_delta=False, window=SAMPLER_WINDOWS[0], k_start=1,
+             fail=0.5)
+    @example(spec=SAMPLER_SPECS[0], use_delta=False, window=SAMPLER_WINDOWS[2], k_start=1,
+             fail=None)
+    @settings(max_examples=60, deadline=None)
+    def test_trace_samples_match_per_level_formula(self, spec, use_delta, window, k_start,
+                                                   fail):
+        # Every trace entry's samples, bit for bit, against the per-level
+        # formula; the source is called once per distinct sampled index, and
+        # an index whose source raised is unusable at every depth.
+        config = ClassifyConfig(k_start=k_start, use_delta=use_delta, window_lo=window[0],
+                                window_hi=window[1])
+        route = "delta" if use_delta and spec.delta is not None else "ratio"
+        fail_at = None
+        if fail is not None:
+            first = adaptive_classify(spec, config).trace[:1]
+            indices = [p.n for r in first for p in r.samples]
+            fail_at = indices[round(fail * (len(indices) - 1))] if indices else None
+        counted = _CountingDelta(getattr(spec, route), fail_at, DomainError)
+        v = adaptive_classify(replace(spec, **{route: counted}), config)
+        sampled = set()
+        for r in v.trace:
+            sampled.update(p.n for p in r.samples)
+            expected = [(p.n, math.nan.hex(), False) if p.n == fail_at
+                        else _per_level_point(r.level, spec, p.n, use_delta) for p in r.samples]
+            assert _points(r.samples) == expected, r.level
+        assert set(counted.calls) == sampled
+        assert sum(counted.calls.values()) == len(sampled)
 
     def test_source_called_once_per_distinct_index(self):
         # Depths 1 and 2 share the grid over [4, 10^7]; depth 3 starts at
@@ -616,6 +664,30 @@ class TestKummerReduction:
         # And the coefficient itself heads to its analytic limit.
         with mp.workdps(40):
             assert abs(float(hp.extract_coefficient(2, 10**6, delta_mp)) - limit) < 0.05
+
+    def test_float_rho_tracks_extracted_coefficient(self):
+        # With the depth-K weight, rho^(K)_n = s^(K)_n - 1 - (zeta(n+1) -
+        # zeta(n) - zeta'(n)), whatever the family: the two formulas agree to
+        # about zeta''(n)/2, under 2K/n here (1.7e-4 at n = 10^4 and 2e-6 at
+        # 10^6 at depth 2).
+        for name, params in ACCEPTANCE_CATALOG:
+            spec = make_series_family(name, **params).ratio_spec
+            for K in (1, 2, 3, 4):
+                weight = KummerWeight.from_level(K)
+                for n in (10**4, 10**5, 10**6, 10**7):
+                    if n < max(min_domain(K), spec.first_index):
+                        continue
+                    gap = kummer_rho(weight, spec, n) - (extract_sn(K, spec, n).value - 1.0)
+                    assert abs(gap) <= 2 * K / n, (name, params, K, n, gap)
+
+
+class TestSamplePoint:
+    def test_fields_repr_and_tuple_equality(self):
+        p = SamplePoint(100, 1.5, True)
+        assert SamplePoint._fields == ("n", "value", "usable")
+        assert repr(p) == "SamplePoint(n=100, value=1.5, usable=True)"
+        assert (p.n, p.value, p.usable) == p == (100, 1.5, True)
+        assert type(extract_sn(1, p_series(2.0).ratio_spec, 100)) is SamplePoint
 
 
 class TestSampleGrid:

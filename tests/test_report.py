@@ -3,8 +3,8 @@
 import json
 from dataclasses import asdict
 
-from demorgan.convergence import adaptive_classify
-from demorgan.families import log_power, alpha_const
+from demorgan.convergence import adaptive_classify, extended_bdm_test
+from demorgan.families import log_power, alpha_const, p_series
 from demorgan.report import Report, verdict_to_dict
 from demorgan.walk import simulate
 
@@ -26,6 +26,16 @@ def test_json_round_trips_full_precision():
     loaded = json.loads(json.dumps(doc))
     assert loaded["s_min"] == v.s_min  # repr round-trip, no digit loss
     assert loaded["samples"] == [[p.n, p.value, p.usable] for p in v.samples]
+
+
+def test_sample_points_are_json_triples():
+    # Each SamplePoint is the triple [n, value, usable]; one that is not
+    # usable above 2**53 has a NaN value, written as null.
+    v = extended_bdm_test(1, p_series(2.0).ratio_spec, (10**15, 10**17), samples=8)
+    triples = json.loads(Report("series", {}, verdict_to_dict(v)).to_json())["result"]["samples"]
+    assert triples == [[p.n, p.value if p.usable else None, p.usable] for p in v.samples]
+    assert [t[2] for t in triples].count(False) == v.dropped > 0
+    assert all(type(t[0]) is int and type(t[2]) is bool for t in triples)
 
 
 def test_reports_identical_modulo_timing():
