@@ -28,7 +28,7 @@ from enum import Enum
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import DomainError, EvalError, InvalidWindow
-from .iterlog import INDEX_LIMIT, K_MAX_NUMERIC, _check_index, iterlog, min_domain
+from .iterlog import K_MAX_NUMERIC, _check_index, iterlog, min_domain
 
 # A no-delta subtraction that lost more than half the significand of the
 # unit-scale term is unreliable; 2**-26 marks that point.
@@ -202,40 +202,23 @@ def _geometric_grid(lo: int, hi: int, count: int) -> tuple[int, ...]:
     return tuple(grid)
 
 
-@functools.lru_cache(maxsize=4096)  # about 450 bytes an entry: at most 1.9 MB
-def _chain(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """The log-chain weights of an int index n in [1, 2**53), and their reciprocals.
-
-    ``weights[K - 1]`` is n * ln(n) * ... * ln_(K)(n) for each depth
-    K <= K_MAX_NUMERIC with ln_(K)(n) > 0, in iterlog_product's operation
-    order, so it is bit-identical to ``zeta_weight(K, n)`` (n < 2**53, so
-    n * p rounds as float(n) * p does).
-    """
-    weights, v, p = [], float(n), 1.0
-    for _ in range(K_MAX_NUMERIC):
-        v = math.log(v)
-        if not v > 0.0:
-            break
-        p *= v
-        weights.append(n * p)
-    return tuple(weights), tuple(1.0 / w for w in weights)
-
-
 def _sample(K: int, grid: Sequence[int], ratio: RatioSpec, use_delta: bool,
             states: dict, strict: bool = False) -> tuple[SamplePoint, ...]:
     """The depth-K SamplePoint of s_n at each index of ``grid``, for depths that never fall.
 
-    ``states`` carries each visited index from one depth to the next as
-    (k, t): t is delta(n) - 1/n less the terms 1/(n * ln(n) * ... * ln_(i)(n))
-    for 0 < i < k, with delta(n) := ratio(n) - 1 when no exact delta is
-    used.  The first visit calls the source once; a deeper one subtracts
-    the cached terms for k <= i < K and multiplies by the cached depth-K
-    weight, so s_n is bit-identical at any depth.  ``usable`` is False when
-    the subtraction chain, starting from a raw ratio, lost more than half
-    the significand.  An index whose source raised, or that is not an int
-    in [1, 2**53), is unusable at every later depth, with no second call;
-    its state is empty, not the exception, whose traceback would tie the
-    states into a reference cycle.  With ``strict`` the error propagates.
+    ``states`` carries each visited index from one depth to the next as the
+    loop state (k, t, v, p): t is delta(n) - 1/n less the terms
+    1/(n * ln(n) * ... * ln_(i)(n)) for 0 < i < k, v is ln_(k)(n) and p is
+    ln(n) * ... * ln_(k)(n), with delta(n) := ratio(n) - 1 when no exact
+    delta is used.  The first visit calls the source once; one more depth
+    then costs one subtraction, one log and one multiply, in
+    iterlog_product's operation order, so s_n is bit-identical at any depth
+    (n < 2**53, so n * p rounds as float(n) * p does).  ``usable`` is False
+    when the subtraction chain, starting from a raw ratio, lost more than
+    half the significand.  An index whose source raised, or that is not an
+    int in [1, 2**53), is unusable at every later depth, with no second
+    call; its state is empty, not the exception, whose traceback would tie
+    the states into a reference cycle.  With ``strict`` the error propagates.
     """
     exact = use_delta and ratio.delta is not None
     points = []
@@ -244,25 +227,26 @@ def _sample(K: int, grid: Sequence[int], ratio: RatioSpec, use_delta: bool,
         if state is None:
             try:
                 t = (float(ratio.delta(n)) if exact else ratio.ratio_at(n) - 1.0) - 1.0 / n
-                if type(n) is not int or not 0 < n < INDEX_LIMIT:
-                    _check_index(n)  # raises, with the reason
+                _check_index(n)
             except (DomainError, EvalError, ArithmeticError):
                 if strict:
                     raise
                 states[n] = ()
                 points.append(SamplePoint(n, math.nan, False))
                 continue
-            k = 1
+            k, v, p = 0, float(n), 1.0
         elif state:
-            k, t = state
+            k, t, v, p = state
         else:
             points.append(SamplePoint(n, math.nan, False))
             continue
-        weights, reciprocals = _chain(n)
         for i in range(k, K):
-            t -= reciprocals[i - 1]
-        states[n] = K, t
-        points.append(SamplePoint(n, t * weights[K - 1], exact or not abs(t) < _CANCEL_THRESHOLD))
+            if i:
+                t -= 1.0 / (n * p)
+            v = math.log(v)
+            p *= v
+        states[n] = K, t, v, p
+        points.append(SamplePoint(n, t * (n * p), exact or not abs(t) < _CANCEL_THRESHOLD))
     return tuple(points)
 
 
