@@ -25,6 +25,8 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import filterfalse, islice, repeat
+from operator import and_, is_not, lt, mul, not_, sub, truediv
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import DomainError, EvalError, InvalidWindow
@@ -178,8 +180,9 @@ def sample_grid(
 ) -> tuple[int, ...]:
     """Geometric grid of integer indices in [lo, hi], deduplicated and sorted.
 
-    With explicit support, returns the supported indices in range, thinned
-    geometrically when there are more than ``count`` of them.
+    With explicit support, returns the supported indices in range, sorted
+    and deduplicated, thinned geometrically when there are more than
+    ``count`` of them.
     """
     if count < 2:
         raise ValueError(f"need at least 2 samples, got {count}")
@@ -187,6 +190,7 @@ def sample_grid(
         raise InvalidWindow(f"window [{lo}, {hi}] is empty")
     if support is not None:
         inside = [n for n in support if lo <= n <= hi]
+        inside = inside if all(map(lt, inside, inside[1:])) else sorted(set(inside))
         if len(inside) <= count:
             return tuple(inside)
         picks = sorted({round(i * (len(inside) - 1) / (count - 1)) for i in range(count)})
@@ -202,52 +206,76 @@ def _geometric_grid(lo: int, hi: int, count: int) -> tuple[int, ...]:
     return tuple(grid)
 
 
-def _sample(K: int, grid: Sequence[int], ratio: RatioSpec, use_delta: bool,
-            states: dict, strict: bool = False) -> tuple[SamplePoint, ...]:
-    """The depth-K SamplePoint of s_n at each index of ``grid``, for depths that never fall.
+def _sample(K: int, grid: tuple[int, ...], ratio: RatioSpec, use_delta: bool,
+            memo: list, strict: bool = False) -> tuple[SamplePoint, ...]:
+    """The depth-K SamplePoint of s_n at each index of ``grid``, computed as columns.
 
-    ``states`` carries each visited index from one depth to the next as the
-    loop state (k, t, v, p): t is delta(n) - 1/n less the terms
-    1/(n * ln(n) * ... * ln_(i)(n)) for 0 < i < k, v is ln_(k)(n) and p is
-    ln(n) * ... * ln_(k)(n), with delta(n) := ratio(n) - 1 when no exact
-    delta is used.  The first visit calls the source once; one more depth
-    then costs one subtraction, one log and one multiply, in
-    iterlog_product's operation order, so s_n is bit-identical at any depth
-    (n < 2**53, so n * p rounds as float(n) * p does).  ``usable`` is False
-    when the subtraction chain, starting from a raw ratio, lost more than
-    half the significand.  An index whose source raised, or that is not an
-    int in [1, 2**53), is unusable at every later depth, with no second
-    call; its state is empty, not the exception, whose traceback would tie
-    the states into a reference cycle.  With ``strict`` the error propagates.
+    ``memo`` is a verdict's ``[raw]``, the source value per index (None
+    where it raised or the ratio was not positive), then the last grid's
+    columns: t is delta(n) - 1/n less 1/(n * ln(n) * ... * ln_(i)(n)) for
+    0 < i < k, v is ln_(k)(n) and p is ln(n) * ... * ln_(k)(n), with
+    delta(n) := ratio(n) - 1 without an exact delta.  One ``map`` over the
+    unseen indices calls the source once each, resuming past an index whose
+    error it catches and keeping no error (``strict`` lets it propagate); a
+    depth then costs one ``map`` per operation in iterlog_product's order,
+    so s_n is bit-identical at any depth.  A lane whose source failed, or
+    whose index is not an int in [1, 2**53), carries nan and is unusable,
+    as is one whose subtraction chain from a raw ratio lost more than half
+    the significand.
     """
     exact = use_delta and ratio.delta is not None
-    points = []
-    for n in grid:
-        state = states.get(n)
-        if state is None:
+    raw = memo[0]
+    if len(memo) > 1 and memo[1][1] == grid:  # the depths of a verdict only rise
+        k, _, d, x, ok, t, v, p = memo.pop()
+    else:
+        if len(memo) > 1:  # keep the source values of the grid left behind
+            raw.update(zip(*memo.pop()[1:3]))
+        rest = list(filterfalse(raw.__contains__, grid)) if raw else grid
+        d: list = []
+        source = ratio.delta if exact else ratio.ratio_at
+        while len(d) < len(rest):
             try:
-                t = (float(ratio.delta(n)) if exact else ratio.ratio_at(n) - 1.0) - 1.0 / n
-                _check_index(n)
+                d.extend(map(float, map(source, islice(rest, len(d), None))))
             except (DomainError, EvalError, ArithmeticError):
                 if strict:
                     raise
-                states[n] = ()
-                points.append(SamplePoint(n, math.nan, False))
-                continue
-            k, v, p = 0, float(n), 1.0
-        elif state:
-            k, t, v, p = state
-        else:
-            points.append(SamplePoint(n, math.nan, False))
-            continue
-        for i in range(k, K):
-            if i:
-                t -= 1.0 / (n * p)
-            v = math.log(v)
-            p *= v
-        states[n] = K, t, v, p
-        points.append(SamplePoint(n, t * (n * p), exact or not abs(t) < _CANCEL_THRESHOLD))
-    return tuple(points)
+                d.append(None)
+        if rest is not grid:
+            raw.update(zip(rest, d))
+            d = list(map(raw.__getitem__, grid))
+        x, ok = _grid_floats(grid, tuple(map(type, grid)), strict)
+        delta = d
+        if None in d:
+            ok = list(map(and_, map(is_not, d, repeat(None)), ok))
+            delta = [math.nan if e is None else e for e in d]
+        k, v, p = 0, x, None
+        t = list(map(sub, delta if exact else map(sub, delta, repeat(1.0)),
+                     map(truediv, repeat(1.0), x)))
+    for i in range(k, K):
+        if i:
+            t = list(map(sub, t, map(truediv, repeat(1.0), map(mul, x, p))))
+        v = list(map(math.log, v))
+        p = list(map(mul, p, v)) if i else v  # 1.0 * v is v
+    if K < K_MAX_NUMERIC:  # no depth past the cap reuses the columns
+        memo.append((K, grid, d, x, ok, t, v, p))
+    del d, v  # the points need only t, x and p
+    usable = ok if exact else map(and_, ok, map(not_, map(_CANCEL_THRESHOLD.__gt__, map(abs, t))))
+    return tuple(map(tuple.__new__, repeat(SamplePoint),
+                     zip(grid, map(mul, t, map(mul, x, p)), usable)))
+
+
+@functools.lru_cache(maxsize=128)  # keyed by the index types too, as 10 == 10.0
+def _grid_floats(grid: tuple, types: tuple, strict: bool) -> tuple[tuple, tuple]:
+    """float(n) per index, nan where n is not an int in [1, 2**53), and that validity."""
+    ok = []
+    for n in grid:
+        try:
+            ok.append(_check_index(n) is None)
+        except DomainError:
+            if strict:
+                raise
+            ok.append(False)
+    return tuple(float(n) if good else math.nan for n, good in zip(grid, ok)), tuple(ok)
 
 
 def extract_sn(K: int, ratio: RatioSpec, n: int, use_delta: bool = True) -> SamplePoint:
@@ -258,16 +286,16 @@ def extract_sn(K: int, ratio: RatioSpec, n: int, use_delta: bool = True) -> Samp
     empty sum at K = 1 contributes nothing.  The result is the
     ``SamplePoint(n, s_n, usable)`` that a depth-K test records at n;
     ``usable`` is False when the subtraction chain, starting from a raw
-    ratio, lost more than half the significand.  This is :func:`_sample` on
-    a grid of one, the routine through which the fixed-depth and adaptive
-    tests sample their windows; an error of the source propagates.
+    ratio, lost more than half the significand.  This is the whole-grid
+    pass :func:`_sample` of the fixed-depth and adaptive tests on a grid of
+    one; an error of the source or of the index check propagates.
     """
     lo = max(ratio.first_index, min_domain(K))
     if n < lo:
         raise DomainError(f"extract_sn: n={n} below first admissible index {lo} at depth {K}")
     if ratio.last_index is not None and n > ratio.last_index:
         raise DomainError(f"extract_sn: n={n} beyond ratio domain end {ratio.last_index}")
-    return _sample(K, (n,), ratio, use_delta, {}, strict=True)[0]
+    return _sample(K, (n,), ratio, use_delta, [{}], strict=True)[0]
 
 
 def _effective_window(
@@ -284,9 +312,8 @@ def _effective_window(
     if ratio.last_index is not None:
         hi = min(hi, ratio.last_index)
     if hi <= lo:
-        raise InvalidWindow(
-            f"no admissible window{where}: need indices above {lo}, have up to {hi}"
-        )
+        raise InvalidWindow(f"no admissible window{where}: need indices above {lo}, "
+                            f"have up to {hi}")
     return lo, hi
 
 
@@ -306,11 +333,11 @@ def extended_bdm_test(
     recorded but excluded from the tail extrema.
     """
     return _depth_test(K, ratio, window or (DEFAULT_WINDOW_FLOOR, DEFAULT_WINDOW_HI), margin,
-                       samples, tail_fraction, use_delta, {})
+                       samples, tail_fraction, use_delta, [{}])
 
 
 def _depth_test(K: int, ratio: RatioSpec, window: tuple[int, int], margin: float,
-                samples: int, tail_fraction: float, use_delta: bool, states: dict,
+                samples: int, tail_fraction: float, use_delta: bool, memo: list,
                 config: ClassifyConfig | None = None) -> Verdict:
     """Sample s_n at depth K over the clipped window and decide on its usable tail.
 
@@ -321,23 +348,25 @@ def _depth_test(K: int, ratio: RatioSpec, window: tuple[int, int], margin: float
     bits to cancellation is recorded but left out before the tail is taken,
     so a poisoned sample cannot decide a verdict, and a run of them at the
     top of the window cannot blind the test to the believable samples below.
-    Leaving one out can only widen Inconclusive.  ``states`` carries the
-    sampled indices from depth to depth (:func:`_sample`).  With the
+    Leaving one out can only widen Inconclusive.  The whole grid is sampled
+    in one pass of :func:`_sample`; ``memo`` carries the verdict's source
+    values and its last grid's columns from depth to depth.  With the
     adaptive walk's ``config``, the verdict also carries the guard run on a
     decisive depth and the reason to escalate past it.
     """
     window = _effective_window(ratio, window, min_domain(K), f" at depth {K}")
     if not 0 < margin < math.inf:
         raise ValueError(f"margin must be finite and positive, got {margin}")
-    points = _sample(K, sample_grid(*window, samples, ratio.support), ratio, use_delta, states)
+    if not 0 < tail_fraction <= 1:
+        raise ValueError("tail_fraction must be in (0, 1]")
+    points = _sample(K, sample_grid(*window, samples, ratio.support), ratio, use_delta, memo)
     usable = [p for p in points if p.usable]
     tail = usable[len(usable) - max(1, math.ceil(len(usable) * tail_fraction)):]
     dropped = len(points) - len(usable)
     if len(tail) < 2:
         return Verdict(Decision.INCONCLUSIVE, K, window, None, None, margin, points, dropped,
                        note="too few usable tail samples", usable=len(usable))
-    s_min = min(p.value for p in tail)
-    s_max = max(p.value for p in tail)
+    s_min, s_max = min(p.value for p in tail), max(p.value for p in tail)
     if s_min > 1.0 + margin:
         decision = Decision.CONVERGES
     elif s_max < 1.0 - margin:
@@ -366,14 +395,8 @@ def _escalation(K: int, decision: Decision, tail: list[SamplePoint], s_min: floa
     return guard, "" if guard is None or guard.passed else "next-level growth check failed"
 
 
-def _consistency_guard(
-    K: int,
-    decision: Decision,
-    tail: list[SamplePoint],
-    s_min: float,
-    s_max: float,
-    config: ClassifyConfig,
-) -> GuardReport | None:
+def _consistency_guard(K: int, decision: Decision, tail: list[SamplePoint], s_min: float,
+                       s_max: float, config: ClassifyConfig) -> GuardReport | None:
     """Check that a decisive depth-K verdict is consistent with depth K+1.
 
     Uses the exact identity s^(K+1)_n = (s^(K)_n - 1) * ln_(K+1)(n): when the
@@ -413,18 +436,20 @@ def adaptive_classify(ratio: RatioSpec, config: ClassifyConfig | None = None) ->
     because the apparent margin is then a slowly decaying correction term
     that the next depth resolves.  An inconclusive verdict escalates only
     when the tail hovers inside the near-one band.  The returned verdict
-    carries the full escalation trace, one Verdict per depth tried.  The
-    depths share their sampled states, so the source is evaluated once per
-    sampled index, whatever the depth reached.
+    carries the full escalation trace, one Verdict per depth tried.  Each
+    depth samples its whole grid in one pass, and the depths share one memo
+    of source values and of the last grid's columns, so the source is
+    called once per sampled index, whatever the depth reached; nothing of
+    it outlives the verdict.
     """
     config = config or ClassifyConfig()
     trace: list[Verdict] = []
-    states: dict = {}
+    memo: list = [{}]
     for K in range(config.k_start, config.k_max + 1):
         try:
             verdict = _depth_test(K, ratio, (config.window_lo, config.window_hi), config.margin,
                                   config.samples, config.tail_fraction, config.use_delta,
-                                  states, config)
+                                  memo, config)
         except InvalidWindow as exc:
             base = trace[-1] if trace else Verdict(Decision.INCONCLUSIVE, K, (0, 0), None, None,
                                                    config.margin)

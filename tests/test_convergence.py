@@ -390,6 +390,14 @@ class TestAdaptive:
         with pytest.raises(ValueError, match=field):
             ClassifyConfig(**{field: value})
 
+    @pytest.mark.parametrize("tail_fraction", [math.nan, math.inf, 0.0, -1.0, 5.0])
+    def test_tail_fraction_must_be_in_unit_interval(self, tail_fraction):
+        message = r"^tail_fraction must be in \(0, 1\]$"
+        with pytest.raises(ValueError, match=message):
+            extended_bdm_test(1, p_series(2.0).ratio_spec, tail_fraction=tail_fraction)
+        with pytest.raises(ValueError, match=message):
+            ClassifyConfig(tail_fraction=tail_fraction)
+
     def test_inconclusive_out_of_band_stops(self):
         # Oscillating tabulated ratios: tail straddles the critical value far
         # outside the near-one band, so no escalation and no verdict.
@@ -636,6 +644,54 @@ class TestSampler:
         with pytest.raises(KeyError):
             adaptive_classify(RatioSpec(ratio=lambda n: 2.0, delta=delta))
 
+    @pytest.mark.parametrize("error", [DomainError, EvalError, ZeroDivisionError])
+    @pytest.mark.parametrize("where", [0, 31, 63])
+    @pytest.mark.parametrize("use_delta", [True, False])
+    def test_sampling_resumes_after_a_caught_error(self, error, where, use_delta):
+        # The source raises at the first, a middle or the last grid index:
+        # every other index is still called once and sampled by the
+        # per-level formula, and nothing keeps the error alive.
+        spec = iterlog_power(1, 1.0).ratio_spec
+        route = "delta" if use_delta else "ratio"
+        bad = sample_grid(100, 10**7)[where]
+        counted = _CountingDelta(getattr(spec, route), bad, error)
+        failing = replace(spec, **{route: counted})
+        gc.collect()
+        gc.disable()
+        try:
+            v = adaptive_classify(failing, ClassifyConfig(use_delta=use_delta))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert [r.level for r in v.trace] == [1, 2, 3]
+        sampled = {p.n for r in v.trace for p in r.samples}
+        assert counted.calls == dict.fromkeys(sampled, 1)
+        for r in v.trace:
+            assert r.dropped >= 1
+            assert _points(r.samples) == [
+                (p.n, math.nan.hex(), False) if p.n == bad
+                else _per_level_point(r.level, spec, p.n, use_delta) for p in r.samples]
+
+    def test_errors_at_every_index_leave_every_sample_unusable(self):
+        calls = []
+
+        def delta(n):
+            calls.append(n)
+            raise EvalError(f"no value at n={n}")
+
+        v = extended_bdm_test(1, RatioSpec(ratio=lambda n: 2.0, delta=delta))
+        assert v.usable == 0 and v.dropped == len(v.samples) == 64
+        assert all(math.isnan(p.value) and not p.usable for p in v.samples)
+        assert calls == [p.n for p in v.samples]
+
+    def test_error_outside_the_caught_ones_propagates_mid_grid(self):
+        spec = iterlog_power(1, 1.0).ratio_spec
+        grid = sample_grid(100, 10**7)
+        counted = _CountingDelta(spec.delta, grid[31], KeyError)
+        with pytest.raises(KeyError):
+            adaptive_classify(replace(spec, delta=counted))
+        assert list(counted.calls) == list(grid[:32])
+
 
 class TestKummerReduction:
     @pytest.mark.parametrize("fam,limit", [
@@ -705,6 +761,32 @@ class TestSampleGrid:
         g = sample_grid(1, 100_000, 10, support=tuple(range(1, 100_001)))
         assert len(g) == 10
         assert g[0] == 1 and g[-1] == 100_000
+
+    def test_support_sorted_and_deduplicated(self):
+        assert sample_grid(5, 50, 64, support=(43, 8, 22, 8, 50, 15, 22, 100, 1)) == (
+            8, 15, 22, 43, 50)
+        assert sample_grid(400, 1000, 64, support=(500, 500, 600, 700, 700)) == (500, 600, 700)
+        support = tuple(range(10**6, 10**4, -1000))
+        assert sample_grid(100, 10**7, 64, support=support) == sample_grid(
+            100, 10**7, 64, support=support[::-1])
+
+    def test_descending_support_decides_on_the_largest_indices(self):
+        support = tuple(range(10**6, 10**4, -1000))
+        spec = RatioSpec(ratio=lambda n: 1.0 + 2.0 / n, first_index=2, support=support)
+        v = extended_bdm_test(1, spec, (100, 10**7))
+        ascending = extended_bdm_test(1, replace(spec, support=support[::-1]), (100, 10**7))
+        assert [p.n for p in v.samples] == sorted(p.n for p in v.samples)
+        assert v.samples[-1].n == 10**6
+        assert (v.decision, v.s_min, v.s_max) == (
+            ascending.decision, ascending.s_min, ascending.s_max)
+
+    def test_duplicate_support_index_sampled_once(self):
+        spec = p_series(2.0).ratio_spec
+        counted = _CountingDelta(spec.delta)
+        support = (500, 500, 600, 600, 700, 800, 900, 1000)
+        v = extended_bdm_test(1, replace(spec, delta=counted, support=support), (100, 10**7))
+        assert [p.n for p in v.samples] == [500, 600, 700, 800, 900, 1000]
+        assert set(counted.calls.values()) == {1}
 
     def test_support_as_list(self):
         support = list(range(1, 100, 7))
