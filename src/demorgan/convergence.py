@@ -25,8 +25,8 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import filterfalse, islice, repeat
-from operator import and_, is_not, lt, mul, not_, sub, truediv
+from itertools import repeat
+from operator import and_, eq, lt, mul, sub, truediv
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import DomainError, EvalError, InvalidWindow
@@ -75,7 +75,7 @@ class RatioSpec:
 
 
 class SamplePoint(NamedTuple):
-    """One sampled coefficient; not ``usable`` when it raised or cancellation ate its bits."""
+    """One sampled coefficient; not ``usable`` when it reads nan or cancellation ate its bits."""
 
     n: int
     value: float
@@ -106,7 +106,7 @@ class Verdict:
     ``s_min``/``s_max`` are the extrema of the extracted coefficient over the
     usable tail samples.  A Converges decision implies s_min > 1 + margin
     over the tail; Diverges implies s_max < 1 - margin.
-    Of the ``samples``, ``usable`` can enter the tail and ``dropped`` raised
+    Of the ``samples``, ``usable`` can enter the tail and ``dropped`` read nan
     or lost their bits to cancellation.  :func:`adaptive_classify` keeps one
     Verdict per depth tried in ``trace``, with the next-level ``guard`` run
     on a decisive depth and the reason it ``escalated`` past that depth (""
@@ -154,22 +154,31 @@ class ClassifyConfig:
     guard_threshold: float = 0.5
 
     def __post_init__(self):
+        for name in ("k_start", "k_max", "window_lo", "window_hi", "samples"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.k_start <= self.k_max:
             raise ValueError(f"need 1 <= k_start <= k_max, got {self.k_start}..{self.k_max}")
         if self.k_max > K_MAX_NUMERIC:
             raise ValueError(f"k_max {self.k_max} exceeds numeric cap {K_MAX_NUMERIC}")
-        if not 0 < self.margin < math.inf:
-            raise ValueError(f"margin must be finite and positive, got {self.margin}")
+        _check_decision_rule(self.margin, self.tail_fraction)
         if not self.near_one_band >= 0:
             raise ValueError(f"near_one_band must be non-negative, got {self.near_one_band}")
         if not 0 < self.guard_threshold <= 1:
             raise ValueError(f"guard_threshold must be in (0, 1], got {self.guard_threshold}")
         if not self.window_lo < self.window_hi:
             raise ValueError(f"need window_lo < window_hi, got {self.window_lo}..{self.window_hi}")
-        if not 0 < self.tail_fraction <= 1:
-            raise ValueError("tail_fraction must be in (0, 1]")
         if self.samples < 4:
             raise ValueError("need at least 4 samples")
+
+
+def _check_decision_rule(margin: float, tail_fraction: float) -> None:
+    """Reject a margin that is not finite and positive, or a tail fraction outside (0, 1]."""
+    if not 0 < margin < math.inf:
+        raise ValueError(f"margin must be finite and positive, got {margin}")
+    if not 0 < tail_fraction <= 1:
+        raise ValueError("tail_fraction must be in (0, 1]")
 
 
 def sample_grid(
@@ -207,75 +216,62 @@ def _geometric_grid(lo: int, hi: int, count: int) -> tuple[int, ...]:
 
 
 def _sample(K: int, grid: tuple[int, ...], ratio: RatioSpec, use_delta: bool,
-            memo: list, strict: bool = False) -> tuple[SamplePoint, ...]:
+            memo: list, d: Sequence[float] = ()) -> tuple[SamplePoint, ...]:
     """The depth-K SamplePoint of s_n at each index of ``grid``, computed as columns.
 
-    ``memo`` is a verdict's ``[raw]``, the source value per index (None
-    where it raised or the ratio was not positive), then the last grid's
-    columns: t is delta(n) - 1/n less 1/(n * ln(n) * ... * ln_(i)(n)) for
-    0 < i < k, v is ln_(k)(n) and p is ln(n) * ... * ln_(k)(n), with
-    delta(n) := ratio(n) - 1 without an exact delta.  One ``map`` over the
-    unseen indices calls the source once each, resuming past an index whose
-    error it catches and keeping no error (``strict`` lets it propagate); a
-    depth then costs one ``map`` per operation in iterlog_product's order,
-    so s_n is bit-identical at any depth.  A lane whose source failed, or
-    whose index is not an int in [1, 2**53), carries nan and is unusable,
-    as is one whose subtraction chain from a raw ratio lost more than half
-    the significand.
+    ``memo`` is a verdict's last grid's columns ``[k, grid, x, t, v, p]``
+    (empty before its first depth): x is float(n), t is delta(n) - 1/n less
+    1/(n * ln(n) * ... * ln_(i)(n)) for 0 < i < k, v is ln_(k)(n) and p is
+    ln(n) * ... * ln_(k)(n), with delta(n) := ratio(n) - 1 without an exact
+    delta.  A new grid is sampled afresh: one ``map`` calls the source once
+    per index (``d`` is that column when the caller has it), resuming past an
+    index whose error it catches and keeping no error.  A depth then costs
+    one ``map`` per operation in iterlog_product's order, so s_n is
+    bit-identical at any depth.  A lane whose source failed, or whose index
+    is not an int in [1, 2**53), reads nan.  A sample is usable when its s_n
+    is a number and, from a raw ratio, its subtraction kept half the
+    significand.
     """
     exact = use_delta and ratio.delta is not None
-    raw = memo[0]
-    if len(memo) > 1 and memo[1][1] == grid:  # the depths of a verdict only rise
-        k, _, d, x, ok, t, v, p = memo.pop()
+    if memo and memo[1] == grid:  # the depths of a verdict only rise
+        k, _, x, t, v, p = memo
     else:
-        if len(memo) > 1:  # keep the source values of the grid left behind
-            raw.update(zip(*memo.pop()[1:3]))
-        rest = list(filterfalse(raw.__contains__, grid)) if raw else grid
-        d: list = []
-        source = ratio.delta if exact else ratio.ratio_at
-        while len(d) < len(rest):
-            try:
-                d.extend(map(float, map(source, islice(rest, len(d), None))))
-            except (DomainError, EvalError, ArithmeticError):
-                if strict:
-                    raise
-                d.append(None)
-        if rest is not grid:
-            raw.update(zip(rest, d))
-            d = list(map(raw.__getitem__, grid))
-        x, ok = _grid_floats(grid, tuple(map(type, grid)), strict)
-        delta = d
-        if None in d:
-            ok = list(map(and_, map(is_not, d, repeat(None)), ok))
-            delta = [math.nan if e is None else e for e in d]
-        k, v, p = 0, x, None
-        t = list(map(sub, delta if exact else map(sub, delta, repeat(1.0)),
+        if not d:
+            d = []
+            source = ratio.delta if exact else ratio.ratio_at
+            while len(d) < len(grid):
+                try:
+                    d.extend(map(float, map(source, grid[len(d):])))
+                except (DomainError, EvalError, ArithmeticError):
+                    d.append(math.nan)
+        x = _grid_floats(grid, tuple(map(type, grid)))
+        t = list(map(sub, d if exact else map(sub, d, repeat(1.0)),
                      map(truediv, repeat(1.0), x)))
-    for i in range(k, K):
-        if i:
-            t = list(map(sub, t, map(truediv, repeat(1.0), map(mul, x, p))))
+        k, v = 1, list(map(math.log, x))
+        p = v
+    for _ in range(k, K):
+        t = list(map(sub, t, map(truediv, repeat(1.0), map(mul, x, p))))
         v = list(map(math.log, v))
-        p = list(map(mul, p, v)) if i else v  # 1.0 * v is v
-    if K < K_MAX_NUMERIC:  # no depth past the cap reuses the columns
-        memo.append((K, grid, d, x, ok, t, v, p))
-    del d, v  # the points need only t, x and p
-    usable = ok if exact else map(and_, ok, map(not_, map(_CANCEL_THRESHOLD.__gt__, map(abs, t))))
-    return tuple(map(tuple.__new__, repeat(SamplePoint),
-                     zip(grid, map(mul, t, map(mul, x, p)), usable)))
+        p = list(map(mul, p, v))
+    memo[:] = K, grid, x, t, v, p
+    s = list(map(mul, t, map(mul, x, p)))
+    usable = map(eq, s, s) if math.isnan(sum(s)) else repeat(True)  # a nan spreads to the sum
+    if not exact:
+        usable = map(and_, usable, map(_CANCEL_THRESHOLD.__le__, map(abs, t)))
+    return tuple(map(tuple.__new__, repeat(SamplePoint), zip(grid, s, usable)))
 
 
 @functools.lru_cache(maxsize=128)  # keyed by the index types too, as 10 == 10.0
-def _grid_floats(grid: tuple, types: tuple, strict: bool) -> tuple[tuple, tuple]:
-    """float(n) per index, nan where n is not an int in [1, 2**53), and that validity."""
-    ok = []
+def _grid_floats(grid: tuple, types: tuple) -> tuple[float, ...]:
+    """float(n) per index, nan where n is not an int in [1, 2**53)."""
+    x = []
     for n in grid:
         try:
-            ok.append(_check_index(n) is None)
+            _check_index(n)
+            x.append(float(n))
         except DomainError:
-            if strict:
-                raise
-            ok.append(False)
-    return tuple(float(n) if good else math.nan for n, good in zip(grid, ok)), tuple(ok)
+            x.append(math.nan)
+    return tuple(x)
 
 
 def extract_sn(K: int, ratio: RatioSpec, n: int, use_delta: bool = True) -> SamplePoint:
@@ -285,17 +281,21 @@ def extract_sn(K: int, ratio: RatioSpec, n: int, use_delta: bool = True) -> Samp
     with delta(n) := ratio(n) - 1 when no exact delta form is supplied.  The
     empty sum at K = 1 contributes nothing.  The result is the
     ``SamplePoint(n, s_n, usable)`` that a depth-K test records at n;
-    ``usable`` is False when the subtraction chain, starting from a raw
-    ratio, lost more than half the significand.  This is the whole-grid
-    pass :func:`_sample` of the fixed-depth and adaptive tests on a grid of
-    one; an error of the source or of the index check propagates.
+    ``usable`` is False when s_n is nan or the subtraction chain, starting
+    from a raw ratio, lost more than half the significand.  The domain
+    checks come first, then the source call, then the index check, and an
+    error of any of them propagates; the source value then goes through the
+    whole-grid pass :func:`_sample` of the fixed-depth and adaptive tests on
+    a grid of one.
     """
     lo = max(ratio.first_index, min_domain(K))
     if n < lo:
         raise DomainError(f"extract_sn: n={n} below first admissible index {lo} at depth {K}")
     if ratio.last_index is not None and n > ratio.last_index:
         raise DomainError(f"extract_sn: n={n} beyond ratio domain end {ratio.last_index}")
-    return _sample(K, (n,), ratio, use_delta, [{}], strict=True)[0]
+    d = float((ratio.delta if use_delta and ratio.delta is not None else ratio.ratio_at)(n))
+    _check_index(n)
+    return _sample(K, (n,), ratio, use_delta, [], [d])[0]
 
 
 def _effective_window(
@@ -329,11 +329,12 @@ def extended_bdm_test(
     """Fixed-depth test: tail extrema of the extracted s_n against 1 +- margin.
 
     At K = 1 this is the classical Bertrand r_n test.  Samples whose
-    extraction raised a domain error or tripped the cancellation warning are
-    recorded but excluded from the tail extrema.
+    s_n reads nan (the source raised or gave nan) or tripped the cancellation
+    warning are recorded but excluded from the tail extrema.
     """
+    _check_decision_rule(margin, tail_fraction)
     return _depth_test(K, ratio, window or (DEFAULT_WINDOW_FLOOR, DEFAULT_WINDOW_HI), margin,
-                       samples, tail_fraction, use_delta, [{}])
+                       samples, tail_fraction, use_delta, [])
 
 
 def _depth_test(K: int, ratio: RatioSpec, window: tuple[int, int], margin: float,
@@ -344,21 +345,17 @@ def _depth_test(K: int, ratio: RatioSpec, window: tuple[int, int], margin: float
     Converges when the tail minimum exceeds 1 + margin; diverges when the
     tail maximum is below 1 - margin; inconclusive otherwise or when fewer
     than two usable samples fall in the tail.  The tail is the last
-    ``tail_fraction`` of the usable samples: one that raised or lost its
+    ``tail_fraction`` of the usable samples: one that reads nan or lost its
     bits to cancellation is recorded but left out before the tail is taken,
     so a poisoned sample cannot decide a verdict, and a run of them at the
     top of the window cannot blind the test to the believable samples below.
     Leaving one out can only widen Inconclusive.  The whole grid is sampled
-    in one pass of :func:`_sample`; ``memo`` carries the verdict's source
-    values and its last grid's columns from depth to depth.  With the
-    adaptive walk's ``config``, the verdict also carries the guard run on a
-    decisive depth and the reason to escalate past it.
+    in one pass of :func:`_sample`; ``memo`` carries the verdict's last
+    grid's columns from depth to depth.  With the adaptive walk's
+    ``config``, the verdict also carries the guard run on a decisive depth
+    and the reason to escalate past it.
     """
     window = _effective_window(ratio, window, min_domain(K), f" at depth {K}")
-    if not 0 < margin < math.inf:
-        raise ValueError(f"margin must be finite and positive, got {margin}")
-    if not 0 < tail_fraction <= 1:
-        raise ValueError("tail_fraction must be in (0, 1]")
     points = _sample(K, sample_grid(*window, samples, ratio.support), ratio, use_delta, memo)
     usable = [p for p in points if p.usable]
     tail = usable[len(usable) - max(1, math.ceil(len(usable) * tail_fraction)):]
@@ -438,13 +435,14 @@ def adaptive_classify(ratio: RatioSpec, config: ClassifyConfig | None = None) ->
     when the tail hovers inside the near-one band.  The returned verdict
     carries the full escalation trace, one Verdict per depth tried.  Each
     depth samples its whole grid in one pass, and the depths share one memo
-    of source values and of the last grid's columns, so the source is
-    called once per sampled index, whatever the depth reached; nothing of
-    it outlives the verdict.
+    of the last grid's columns, so the source is called once per index of
+    each distinct grid: depths on the same window cost one log per index
+    more, and a depth whose window is clipped higher samples its new grid
+    afresh.  Nothing of the memo outlives the verdict.
     """
     config = config or ClassifyConfig()
     trace: list[Verdict] = []
-    memo: list = [{}]
+    memo: list = []
     for K in range(config.k_start, config.k_max + 1):
         try:
             verdict = _depth_test(K, ratio, (config.window_lo, config.window_hi), config.margin,

@@ -2,6 +2,8 @@
 
 import gc
 import math
+import re
+from collections import Counter
 from dataclasses import replace
 
 import mpmath as mp
@@ -217,6 +219,16 @@ class TestExtraction:
             with pytest.raises(DomainError):
                 extract_sn(K, bad_spec, n)
 
+    def test_source_is_called_before_the_index_check(self):
+        n = 10**7 + 0.5
+        failing = _CountingDelta(lambda m: 1 / m, fail_at=n)
+        with pytest.raises(EvalError):
+            extract_sn(1, RatioSpec(ratio=lambda m: 2.0, delta=failing), n)
+        counted = _CountingDelta(lambda m: 1 / m)
+        with pytest.raises(DomainError, match="^index must be an integer"):
+            extract_sn(1, RatioSpec(ratio=lambda m: 2.0, delta=counted), n)
+        assert failing.calls == counted.calls == {n: 1}
+
     @given(
         K=st.integers(1, 4),
         spec=st.sampled_from(ONE_PASS_SPECS),
@@ -330,6 +342,34 @@ class TestExtendedTest:
         with pytest.raises(InvalidWindow):
             extended_bdm_test(4, harmonic_spec(), (100, 1000), margin=0.2)
 
+    def test_nan_from_an_exact_delta_is_dropped(self):
+        bad = 6938568
+        spec = RatioSpec(ratio=lambda n: 1 + 2 / n,
+                         delta=lambda n: math.nan if n == bad else 2 / n)
+        v = extended_bdm_test(1, spec)
+        assert _points(p for p in v.samples if p.n == bad) == [(bad, math.nan.hex(), False)]
+        assert v.dropped == 1 and v.usable == len(v.samples) - 1
+        assert v.decision is Decision.CONVERGES and not math.isnan(v.s_min)
+        assert extract_sn(1, spec, bad).usable is False
+
+    def test_infinite_coefficient_stays_usable(self):
+        spec = RatioSpec(ratio=lambda n: 1 + 2 / n,
+                         delta=lambda n: math.inf if n == 10**7 else 2 / n)
+        v = extended_bdm_test(1, spec)
+        assert v.samples[-1] == (10**7, math.inf, True)
+        assert v.dropped == 0 and v.s_max == math.inf
+
+    @pytest.mark.parametrize("margin", [0.0, -1.0, math.nan, math.inf])
+    def test_margin_rule_is_checked_before_sampling(self, margin):
+        counted = _CountingDelta(lambda n: 2 / n)
+        message = rf"^margin must be finite and positive, got {margin}$"
+        with pytest.raises(ValueError, match=message):
+            extended_bdm_test(1, RatioSpec(ratio=lambda n: 1 + 2 / n, delta=counted),
+                              margin=margin)
+        with pytest.raises(ValueError, match=message):
+            ClassifyConfig(margin=margin)
+        assert counted.calls == {}
+
 
 class TestAdaptive:
     def test_log_series_escalates_to_depth_two(self):
@@ -388,6 +428,15 @@ class TestAdaptive:
     ])
     def test_config_rejects_out_of_range(self, field, value):
         with pytest.raises(ValueError, match=field):
+            ClassifyConfig(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("k_start", 1.5), ("k_start", True), ("k_max", 3.0), ("window_lo", 100.5),
+        ("window_hi", 1e7), ("samples", 10.0), ("samples", False), ("samples", "64"),
+    ])
+    def test_config_rejects_non_integer_counts(self, field, value):
+        message = re.escape(f"{field} must be an integer, got {value!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
             ClassifyConfig(**{field: value})
 
     @pytest.mark.parametrize("tail_fraction", [math.nan, math.inf, 0.0, -1.0, 5.0])
@@ -505,6 +554,12 @@ def _extracted(K, spec, n, use_delta):
     return n, sample.value.hex(), sample.usable
 
 
+def _calls_per_distinct_grid(trace):
+    """The source calls per index a trace costs: one per index of each new grid."""
+    grids = [tuple(p.n for p in r.samples) for r in trace]
+    return Counter(n for i, g in enumerate(grids) if not i or g != grids[i - 1] for n in g)
+
+
 class _CountingDelta:
     """A source that counts its calls per index and raises ``error`` at ``fail_at``."""
 
@@ -533,7 +588,7 @@ SAMPLER_WINDOWS = [(100, 10**7), (10**6, 2 * 10**7), (100, 10**19)]
 
 
 class TestSampler:
-    """One source call per sampled index per verdict, with s_n as extract_sn gives it."""
+    """One source call per index of each sampled grid, with s_n as extract_sn gives it."""
 
     @given(K=st.integers(1, 4), spec=st.sampled_from(SAMPLER_SPECS), use_delta=st.booleans())
     @settings(max_examples=120, deadline=None)
@@ -577,8 +632,9 @@ class TestSampler:
     def test_trace_samples_match_per_level_formula(self, spec, use_delta, window, k_start,
                                                    fail):
         # Every trace entry's samples, bit for bit, against the per-level
-        # formula; the source is called once per distinct sampled index, and
-        # an index whose source raised is unusable at every depth.
+        # formula; the source is called once per index of each distinct grid
+        # the trace samples, and an index whose source raised is unusable at
+        # every depth.
         config = ClassifyConfig(k_start=k_start, use_delta=use_delta, window_lo=window[0],
                                 window_hi=window[1])
         route = "delta" if use_delta and spec.delta is not None else "ratio"
@@ -589,27 +645,34 @@ class TestSampler:
             fail_at = indices[round(fail * (len(indices) - 1))] if indices else None
         counted = _CountingDelta(getattr(spec, route), fail_at, DomainError)
         v = adaptive_classify(replace(spec, **{route: counted}), config)
-        sampled = set()
         for r in v.trace:
-            sampled.update(p.n for p in r.samples)
             expected = [(p.n, math.nan.hex(), False) if p.n == fail_at
                         else _per_level_point(r.level, spec, p.n, use_delta) for p in r.samples]
             assert _points(r.samples) == expected, r.level
-        assert set(counted.calls) == sampled
-        assert sum(counted.calls.values()) == len(sampled)
+        assert counted.calls == _calls_per_distinct_grid(v.trace)
 
     def test_source_called_once_per_distinct_index(self):
         # Depths 1 and 2 share the grid over [4, 10^7]; depth 3 starts at
-        # min_domain(3) = 16 and samples a new one.
+        # min_domain(3) = 16 and samples a new one afresh.
         spec = iterlog_power(1, 1.0).ratio_spec
         counted = _CountingDelta(spec.delta)
         config = ClassifyConfig(window_lo=4)
         v = adaptive_classify(RatioSpec(ratio=spec.ratio, delta=counted,
                                         first_index=spec.first_index), config)
         assert [r.level for r in v.trace] == [1, 2, 3]
-        grids = [set(sample_grid(*r.window, config.samples)) for r in v.trace]
-        assert set(counted.calls) == set().union(*grids) != grids[-1]
-        assert set(counted.calls.values()) == {1}
+        grids = [sample_grid(*r.window, config.samples) for r in v.trace]
+        assert grids[0] == grids[1] != grids[2]
+        assert counted.calls == Counter(grids[0] + grids[2])
+        assert set(counted.calls.values()) == {1, 2}
+
+    def test_default_window_changes_grid_only_at_depth_4(self):
+        # Depths 1-3 share the default window's grid; depth 4's window is
+        # clipped at min_domain(4) = 3,814,280 and shares only 10^7 with it.
+        spec = p_series(2.0).ratio_spec
+        grids = [tuple(p.n for p in extended_bdm_test(K, spec).samples) for K in (1, 2, 3, 4)]
+        assert grids[0] == grids[1] == grids[2]
+        assert grids[3][0] == min_domain(4) == 3_814_280
+        assert set(grids[3]) & set(grids[0]) == {10**7}
 
     def test_failing_index_is_called_once_and_unusable_at_every_depth(self):
         spec = iterlog_power(1, 1.0).ratio_spec
