@@ -30,7 +30,7 @@ from operator import and_, eq, lt, mul, sub, truediv
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import DomainError, EvalError, InvalidWindow
-from .iterlog import K_MAX_NUMERIC, _check_index, iterlog, min_domain
+from .iterlog import INDEX_LIMIT, K_MAX_NUMERIC, _check_index, iterlog, min_domain
 
 # A no-delta subtraction that lost more than half the significand of the
 # unit-scale term is unreliable; 2**-26 marks that point.
@@ -58,7 +58,7 @@ class RatioSpec:
     extraction prefers it because subtracting 1 from a ratio near 1 in double
     precision poisons the deepest correction term.  ``support`` restricts
     sampling to an explicit index set (tabulated input); ``last_index`` caps
-    the domain.
+    the domain.  Every index must be an int, not a bool or numpy integer.
     """
 
     ratio: Callable[[int], float]
@@ -66,6 +66,12 @@ class RatioSpec:
     delta: Callable[[int], float] | None = None
     last_index: int | None = None
     support: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        _check_integers("first_index", self.first_index)
+        if self.last_index is not None:
+            _check_integers("last_index", self.last_index)
+        _check_integers("support entry", *(self.support or ()))
 
     def ratio_at(self, n: int) -> float:
         r = float(self.ratio(n))
@@ -155,9 +161,7 @@ class ClassifyConfig:
 
     def __post_init__(self):
         for name in ("k_start", "k_max", "window_lo", "window_hi", "samples"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _check_integers(name, getattr(self, name))
         if not 1 <= self.k_start <= self.k_max:
             raise ValueError(f"need 1 <= k_start <= k_max, got {self.k_start}..{self.k_max}")
         if self.k_max > K_MAX_NUMERIC:
@@ -171,6 +175,12 @@ class ClassifyConfig:
             raise ValueError(f"need window_lo < window_hi, got {self.window_lo}..{self.window_hi}")
         if self.samples < 4:
             raise ValueError("need at least 4 samples")
+
+
+def _check_integers(name: str, *values: object) -> None:
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_decision_rule(margin: float, tail_fraction: float) -> None:
@@ -227,10 +237,10 @@ def _sample(K: int, grid: tuple[int, ...], ratio: RatioSpec, use_delta: bool,
     per index (``d`` is that column when the caller has it), resuming past an
     index whose error it catches and keeping no error.  A depth then costs
     one ``map`` per operation in iterlog_product's order, so s_n is
-    bit-identical at any depth.  A lane whose source failed, or whose index
-    is not an int in [1, 2**53), reads nan.  A sample is usable when its s_n
-    is a number and, from a raw ratio, its subtraction kept half the
-    significand.
+    bit-identical at any depth.  The grid, built from checked indices, is a
+    sorted tuple of ints >= 2; a lane whose source failed, or whose index is
+    2**53 or more, reads nan.  A sample is usable when its s_n is a number
+    and, from a raw ratio, its subtraction kept half the significand.
     """
     exact = use_delta and ratio.delta is not None
     if memo and memo[1] == grid:  # the depths of a verdict only rise
@@ -244,7 +254,8 @@ def _sample(K: int, grid: tuple[int, ...], ratio: RatioSpec, use_delta: bool,
                     d.extend(map(float, map(source, grid[len(d):])))
                 except (DomainError, EvalError, ArithmeticError):
                     d.append(math.nan)
-        x = _grid_floats(grid, tuple(map(type, grid)))
+        x = ([float(n) if n < INDEX_LIMIT else math.nan for n in grid]
+             if grid and grid[-1] >= INDEX_LIMIT else list(map(float, grid)))
         t = list(map(sub, d if exact else map(sub, d, repeat(1.0)),
                      map(truediv, repeat(1.0), x)))
         k, v = 1, list(map(math.log, x))
@@ -259,19 +270,6 @@ def _sample(K: int, grid: tuple[int, ...], ratio: RatioSpec, use_delta: bool,
     if not exact:
         usable = map(and_, usable, map(_CANCEL_THRESHOLD.__le__, map(abs, t)))
     return tuple(map(tuple.__new__, repeat(SamplePoint), zip(grid, s, usable)))
-
-
-@functools.lru_cache(maxsize=128)  # keyed by the index types too, as 10 == 10.0
-def _grid_floats(grid: tuple, types: tuple) -> tuple[float, ...]:
-    """float(n) per index, nan where n is not an int in [1, 2**53)."""
-    x = []
-    for n in grid:
-        try:
-            _check_index(n)
-            x.append(float(n))
-        except DomainError:
-            x.append(math.nan)
-    return tuple(x)
 
 
 def extract_sn(K: int, ratio: RatioSpec, n: int, use_delta: bool = True) -> SamplePoint:
@@ -328,13 +326,15 @@ def extended_bdm_test(
 ) -> Verdict:
     """Fixed-depth test: tail extrema of the extracted s_n against 1 +- margin.
 
-    At K = 1 this is the classical Bertrand r_n test.  Samples whose
-    s_n reads nan (the source raised or gave nan) or tripped the cancellation
-    warning are recorded but excluded from the tail extrema.
+    At K = 1 this is the classical Bertrand r_n test.  Samples that read nan
+    or lost their bits to cancellation are recorded but left out of the tail
+    extrema.  ``window``'s ends and ``samples`` must be ints, as in RatioSpec.
     """
     _check_decision_rule(margin, tail_fraction)
-    return _depth_test(K, ratio, window or (DEFAULT_WINDOW_FLOOR, DEFAULT_WINDOW_HI), margin,
-                       samples, tail_fraction, use_delta, [])
+    window = window or (DEFAULT_WINDOW_FLOOR, DEFAULT_WINDOW_HI)
+    _check_integers("window end", *window)
+    _check_integers("samples", samples)
+    return _depth_test(K, ratio, window, margin, samples, tail_fraction, use_delta, [])
 
 
 def _depth_test(K: int, ratio: RatioSpec, window: tuple[int, int], margin: float,

@@ -1,9 +1,8 @@
 """Iterated natural logarithms and the weight sequences built from them.
 
-``iterlog(k, x)`` is the k-fold composition ln(ln(...ln(x)...)).  The weight
-``zeta_weight(K, n) = n * ln(n) * ln(ln(n)) * ... * ln_(K)(n)`` drives the
-Kummer-style convergence tests in :mod:`demorgan.convergence`; its reciprocal
-sum diverges, which is what makes it an admissible test weight.
+``iterlog(k, x)`` is the k-fold composition ln(ln(...ln(x)...)).  The Kummer
+weight ``zeta_weight(K, n) = n * ln(n) * ... * ln_(K)(n)``, admissible because
+its reciprocal sum diverges, is what ``eval-iterlog --what zeta`` prints.
 
 Sampled numeric evaluation is capped at depth ``K_MAX_NUMERIC = 4``: the
 smallest integer where a depth-5 chain is positive exceeds exp(3.8 million),
@@ -90,7 +89,7 @@ def iterlog_product(K: int, n: int) -> float:
 
 
 def zeta_weight(K: int, n: int) -> float:
-    """Kummer weight n * ln(n) * ... * ln_(K)(n); strictly positive and increasing."""
+    """The ``eval-iterlog --what zeta`` weight n * ln(n) * ... * ln_(K)(n); positive, increasing."""
     _check_level(K)
     return float(n) * iterlog_product(K, n)
 

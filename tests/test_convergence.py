@@ -7,10 +7,13 @@ from collections import Counter
 from dataclasses import replace
 
 import mpmath as mp
+import numpy
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from demorgan import cli, convergence
+from demorgan.birthdeath import recurrence_ratio
 from demorgan.convergence import (
     ClassifyConfig,
     Decision,
@@ -25,15 +28,18 @@ from demorgan.errors import DomainError, EvalError, InvalidWindow
 from demorgan.expr import parse_expression
 from demorgan.families import (
     ACCEPTANCE_CATALOG,
+    RATE_FACTORIES,
     _term_ratio,
     geometric,
     iterlog_power,
     log_power,
+    make_rate_family,
     make_series_family,
     p_series,
 )
 from demorgan.iterlog import INDEX_LIMIT, iterlog_product, min_domain, zeta_weight
 from demorgan.tables import ratio_spec_from_rows
+from demorgan.walk import DriftSpec, rw_to_bdp
 
 import oracle as hp
 from oracle import KummerWeight, kummer_rho, kummer_test, reconstruct_ratio
@@ -229,6 +235,15 @@ class TestExtraction:
             extract_sn(1, RatioSpec(ratio=lambda m: 2.0, delta=counted), n)
         assert failing.calls == counted.calls == {n: 1}
 
+    def test_extract_sn_leaves_the_module_caches_alone(self):
+        cached = [name for name, obj in vars(convergence).items() if hasattr(obj, "cache_info")]
+        assert cached == ["_geometric_grid"]
+        before = convergence._geometric_grid.cache_info().currsize
+        spec = p_series(2.0).ratio_spec
+        for n in range(10**6 + 1, 10**6 + 201):
+            extract_sn(1, spec, n)
+        assert convergence._geometric_grid.cache_info().currsize == before
+
     @given(
         K=st.integers(1, 4),
         spec=st.sampled_from(ONE_PASS_SPECS),
@@ -369,6 +384,47 @@ class TestExtendedTest:
         with pytest.raises(ValueError, match=message):
             ClassifyConfig(margin=margin)
         assert counted.calls == {}
+
+    @pytest.mark.parametrize("field,kwargs,value", [
+        ("samples", {"samples": 10.0}, 10.0), ("samples", {"samples": True}, True),
+        ("window end", {"window": (100.5, 10**7)}, 100.5),
+        ("window end", {"window": (100, 1e7)}, 1e7),
+        ("window end", {"window": (numpy.int64(100), 10**7)}, numpy.int64(100)),
+    ])
+    def test_non_integer_window_or_samples_rejected(self, field, kwargs, value):
+        counted = _CountingDelta(lambda n: 2 / n)
+        message = re.escape(f"{field} must be an integer, got {value!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            extended_bdm_test(1, RatioSpec(ratio=lambda n: 1 + 2 / n, delta=counted), **kwargs)
+        assert counted.calls == {}
+
+
+class TestRatioSpec:
+    @pytest.mark.parametrize("bad", [1.5, True, numpy.int64(5), "5"])
+    def test_non_integer_index_rejected(self, bad, tmp_path):
+        message = re.escape(f" must be an integer, got {bad!r}") + "$"
+        for field, value in (("first_index", bad), ("last_index", bad), ("support", (2, bad))):
+            with pytest.raises(ValueError, match=f"^{field}.*{message}"):
+                RatioSpec(ratio=lambda n: 2.0, **{field: value})
+        # Every source the package builds passes the rule.
+        for name, params in ACCEPTANCE_CATALOG:
+            make_series_family(name, **params)
+        for name in RATE_FACTORIES:
+            for depth in (1, 4) if name == "bd-iterlog" else (None,):
+                recurrence_ratio(make_rate_family(name, c=2.0, K=depth).rates)
+        recurrence_ratio(rw_to_bdp(DriftSpec(alpha=lambda n: 0.3, C=0.5)))
+        for kind in ("terms", "ratios"):
+            ratio_spec_from_rows([(n, 1.0 / n**2) for n in range(3, 40)], kind)
+        table = tmp_path / "table.txt"
+        table.write_text("".join(f"{n} {1.0 / n**2!r}\n" for n in range(3, 40)))
+        parser = cli.build_parser()
+        for argv in (["--a-n", "1/n^2"], ["--a-n", "1/n^2", "--first-index", "5"],
+                     ["--delta-n", "2/n"], ["--table", str(table)]):
+            spec, _ = cli._series_source(parser.parse_args(["classify-series", *argv]))
+            assert type(spec.first_index) is int
+        rates, _ = cli._rates_source(parser.parse_args(["classify-bdp", "--lambda", "1 + 2/n",
+                                                        "--mu", "1"]))
+        recurrence_ratio(rates)
 
 
 class TestAdaptive:
