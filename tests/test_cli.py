@@ -3,6 +3,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -330,8 +331,16 @@ class TestSimulateWalk:
     def test_text_format(self, capsys):
         code, out, err = run(capsys, "simulate-walk", "--alpha-const", "0.2",
                              "--paths", "20", "--horizon", "100", "--seed", "11")
-        assert code == 0
-        assert "returned:" in out and "max excursion:" in out
+        assert code == 0 and err == ""
+        expected = (
+            "mode: simulate\n"
+            "paths: 20  horizon: 100  seed: 11\n"
+            "returned: 15 (0.7500)\n"
+            "mean first return: 15.80\n"
+            "max excursion: 26\n"
+            "final positions: mean=12.00 median=11.0 min=3 max=23\n"
+        )
+        assert re.fullmatch(re.escape(expected) + r"elapsed: \d+\.\d ms\n", out), out
 
 
 class TestEvalIterlog:
