@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .convergence import ClassifyConfig, Decision, RatioSpec, Verdict, adaptive_classify
+from .convergence import (ClassifyConfig, Decision, RatioSpec, Verdict, _check_integers,
+                          adaptive_classify)
 from .errors import DomainError
 
 
@@ -31,12 +32,18 @@ class BirthDeathRates:
 
     ``ratio_delta``, when present, gives lambda(n)/mu(n) - 1 in a
     cancellation-free form and is forwarded to the series machinery.
+    ``first_index`` must be an int of at least 1, not a bool or numpy integer.
     """
 
     lam: Callable[[int], float]
     mu: Callable[[int], float]
     first_index: int = 1
     ratio_delta: Callable[[int], float] | None = None
+
+    def __post_init__(self):
+        _check_integers("first_index", self.first_index)
+        if self.first_index < 1:
+            raise ValueError(f"first_index must be >= 1, got {self.first_index}")
 
     def rates_at(self, n: int) -> tuple[float, float]:
         lam = float(self.lam(n))
@@ -78,11 +85,7 @@ def recurrence_ratio(rates: BirthDeathRates) -> RatioSpec:
         def delta(n: int) -> float:
             return float(shifted(n + 1))
 
-    return RatioSpec(
-        ratio=ratio,
-        delta=delta,
-        first_index=max(rates.first_index, 1),
-    )
+    return RatioSpec(ratio=ratio, delta=delta, first_index=rates.first_index)
 
 
 def bdp_classify(rates: BirthDeathRates, config: ClassifyConfig | None = None) -> Classification:

@@ -10,9 +10,10 @@ Sub-commands:
 
 Series and rates come from a built-in family (``--family`` plus parameter
 flags), an expression in the small DSL (``--a-n``, ``--delta-n``,
-``--lambda``/``--mu``, ``--alpha``), or a two-column table file.  Exit codes:
-0 for a decisive verdict (or a completed evaluation/simulation), 2 for an
-inconclusive verdict, 1 for any error.
+``--lambda``/``--mu``, ``--alpha``), or a two-column table file.  A report
+prints as a short text summary (the default) or as the full JSON document
+(``--format json``).  Exit codes: 0 for a decisive verdict (or a completed
+evaluation/simulation), 2 for an inconclusive verdict, 1 for any error.
 """
 
 from __future__ import annotations
@@ -34,17 +35,12 @@ from .families import (
     RATE_FACTORIES,
     SERIES_FACTORIES,
     _term_ratio,
+    alpha_const,
     make_rate_family,
     make_series_family,
-    make_walk_family,
 )
 from .iterlog import expansion_increment, iterlog, iterlog_product, min_domain, zeta_weight
-from .report import (
-    Report,
-    classification_to_dict,
-    rw_classification_to_dict,
-    verdict_to_dict,
-)
+from .report import Report, classification_to_dict, rw_classification_to_dict, verdict_to_dict
 from .tables import KINDS, load_table
 from .walk import DriftSpec, rw_classify, simulate
 
@@ -263,7 +259,7 @@ def _rates_source(args: argparse.Namespace) -> tuple[BirthDeathRates, dict[str, 
 def _drift_source(args: argparse.Namespace) -> tuple[DriftSpec, dict[str, Any]]:
     _check_source(args, _DRIFT_READERS)
     if args.alpha_const is not None:
-        fam = make_walk_family("alpha-const", a=args.alpha_const)
+        fam = alpha_const(args.alpha_const)
         return fam.drift, {"kind": "family", "family": fam.name, "params": fam.params}
     cap = 1.0 if args.C is None else args.C
     drift = DriftSpec(alpha=parse_expression(args.alpha), C=cap)
@@ -320,52 +316,6 @@ _ITERLOG_FUNCTIONS = {
 }
 
 
-def _print_text(report: Report, out) -> None:
-    r = report.result
-    print(f"mode: {report.mode}", file=out)
-    if report.mode == "series":
-        _print_verdict(r, out)
-    elif report.mode == "bdp":
-        print(f"decision: {r['decision']}", file=out)
-        _print_verdict(r["series_verdict"], out, prefix="  series ")
-    elif report.mode == "rwalk":
-        print(f"decision: {r['decision']}", file=out)
-        _print_verdict(r["chain"]["series_verdict"], out, prefix="  chain series ")
-    elif report.mode == "simulate":
-        print(f"paths: {r['n_paths']}  horizon: {r['horizon']}  seed: {r['seed']}", file=out)
-        print(f"returned: {r['returned_paths']} ({r['returned_fraction']:.4f})", file=out)
-        mfr = r["mean_first_return"]
-        print(f"mean first return: {'n/a' if mfr is None else f'{mfr:.2f}'}", file=out)
-        print(f"max excursion: {r['max_excursion']}", file=out)
-        fp = r["final_positions"]
-        print(f"final positions: mean={fp['mean']:.2f} median={fp['median']:.1f} "
-              f"min={fp['min']} max={fp['max']}", file=out)
-    elif report.mode == "iterlog":
-        print(f"value: {r['value']!r}", file=out)
-    if report.timing_ms is not None:
-        print(f"elapsed: {report.timing_ms:.1f} ms", file=out)
-
-
-def _print_verdict(v: dict[str, Any], out, prefix: str = "") -> None:
-    print(f"{prefix}decision: {v['decision']}", file=out)
-    print(f"{prefix}level: {v['level']}  window: {v['window']}  margin: {v['margin']}", file=out)
-    if v["s_min"] is not None:
-        print(f"{prefix}tail coefficient range: [{v['s_min']:.6g}, {v['s_max']:.6g}]", file=out)
-    if v.get("note"):
-        print(f"{prefix}note: {v['note']}", file=out)
-    for step in v.get("trace", []):
-        guard = step.get("guard")
-        guard_txt = ""
-        if guard is not None:
-            guard_txt = f"  guard={'pass' if guard['passed'] else 'FAIL'}"
-        esc = f"  -> {step['escalated']}" if step.get("escalated") else ""
-        rng = ""
-        if step["s_min"] is not None:
-            rng = f"  s in [{step['s_min']:.6g}, {step['s_max']:.6g}]"
-        print(f"{prefix}  depth {step['level']}: {step['decision']}{rng}{guard_txt}{esc}",
-              file=out)
-
-
 # Each runner returns (mode, input echo, computation, result to dict).
 _RUNNERS = {
     "classify-series": partial(_run_classify, "series", _series_source, adaptive_classify,
@@ -380,6 +330,7 @@ _RUNNERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand and print its report; the exit code reads its ``decision``."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -391,10 +342,7 @@ def main(argv: list[str] | None = None) -> int:
     except (_UsageError, DemorganError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    if args.format == "json":
-        print(report.to_json())
-    else:
-        _print_text(report, sys.stdout)
+    print(report.to_json() if args.format == "json" else report.to_text())
     return EXIT_INCONCLUSIVE if report.result.get("decision") == "inconclusive" else EXIT_OK
 
 

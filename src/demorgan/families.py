@@ -28,7 +28,7 @@ from typing import Callable
 import mpmath as mp
 
 from .birthdeath import BirthDeathRates, Fate
-from .convergence import Decision, RatioSpec
+from .convergence import Decision, RatioSpec, _check_integers
 from .errors import DomainError
 from .expr import parse_expression
 from .iterlog import K_MAX_NUMERIC, _check_index, min_domain
@@ -56,6 +56,13 @@ def _term_ratio(term: Callable[[float], float]) -> Callable[[int], float]:
             raise DomainError(f"series terms must be positive, got a({n})={a}, a({n+1})={b}")
         return a / b
     return ratio
+
+
+def _check_depth(depth: object, top: int) -> None:
+    """Reject a family depth that is not an int (a bool is not one) in 1..top."""
+    _check_integers("depth", depth)
+    if not 1 <= depth <= top:
+        raise ValueError(f"depth must be an integer in 1..{top}, got {depth!r}")
 
 
 def _log_scale(name: str, depth: int, params: dict[str, float]) -> SeriesFamily:
@@ -107,23 +114,24 @@ def _log_scale(name: str, depth: int, params: dict[str, float]) -> SeriesFamily:
 
 
 def p_series(p: float) -> SeriesFamily:
-    return _log_scale("p-series", -1, {"p": p})
+    # float(): a numpy float would print its type into the expression text.
+    return _log_scale("p-series", -1, {"p": float(p)})
 
 
 def log_power(r: float) -> SeriesFamily:
-    return _log_scale("log-power", 0, {"r": r})
+    return _log_scale("log-power", 0, {"r": float(r)})
 
 
 def iterlog_power(depth: int, r: float) -> SeriesFamily:
     """1 / (n * ln(n) * ... * ln_(depth)(n) * ln_(depth+1)(n)^r)."""
-    if not isinstance(depth, int) or not 1 <= depth <= K_MAX_NUMERIC - 1:
-        raise ValueError(f"depth must be an integer in 1..{K_MAX_NUMERIC - 1}")
-    return _log_scale("iterlog-power", depth, {"K": depth, "r": r})
+    _check_depth(depth, K_MAX_NUMERIC - 1)
+    return _log_scale("iterlog-power", depth, {"K": depth, "r": float(r)})
 
 
 def geometric(x: float) -> SeriesFamily:
     """x^n for x > 0.  The ratio is the constant 1/x; terms under- or
     overflow floats at large n, so the ratio is supplied algebraically."""
+    x = float(x)
     if not (math.isfinite(x) and x > 0):
         raise ValueError("x must be finite and positive")
     expression = f"{x!r}^n"
@@ -169,7 +177,7 @@ def _make_family(factories: dict, kind: str, name: str, params: dict):
         raise ValueError(f"family {name!r} does not take: {', '.join(extra)}")
     kwargs = {w: params[w] for w in wanted}
     if "K" in kwargs:
-        kwargs["depth"] = int(kwargs.pop("K"))
+        kwargs["depth"] = kwargs.pop("K")
     return factory(**kwargs)
 
 
@@ -243,20 +251,19 @@ def _boundary_rates(name: str, depth: int, params: dict[str, float]) -> RateFami
 
 def bd_power(c: float) -> RateFamily:
     """lambda/mu = 1 + c/n; transient iff c > 1 (products decay like n^-c)."""
-    return _boundary_rates("bd-power", 0, {"c": c})
+    return _boundary_rates("bd-power", 0, {"c": float(c)})
 
 
 def bd_log(c: float) -> RateFamily:
     """lambda/mu = 1 + 1/n + c/(n ln n), bd-iterlog at depth 1; transient iff c > 1."""
-    return _boundary_rates("bd-log", 1, {"c": c})
+    return _boundary_rates("bd-log", 1, {"c": float(c)})
 
 
 def bd_iterlog(depth: int, c: float) -> RateFamily:
     """lambda/mu = 1 + 1/n + sum_{k<depth} 1/(n prod_k) + c/(n prod_depth);
     transient iff c > 1."""
-    if not isinstance(depth, int) or not 1 <= depth <= K_MAX_NUMERIC:
-        raise ValueError(f"depth must be an integer in 1..{K_MAX_NUMERIC}")
-    return _boundary_rates("bd-iterlog", depth, {"K": depth, "c": c})
+    _check_depth(depth, K_MAX_NUMERIC)
+    return _boundary_rates("bd-iterlog", depth, {"K": depth, "c": float(c)})
 
 
 RATE_FACTORIES: dict[str, tuple[Callable[..., RateFamily], tuple[str, ...]]] = {
@@ -287,6 +294,7 @@ def alpha_const(a: float) -> WalkFamily:
     recurrent for a <= 1/4 (at a = 1/4 the depth-1 coefficient collapses to
     zero, which still lands on the divergent side).
     """
+    a = float(a)
     if not (math.isfinite(a) and 0.0 < a < 0.5):
         raise ValueError(f"need 0 < a < 1/2, got {a}")
     drift = DriftSpec(alpha=lambda n: a, C=0.5)
@@ -304,8 +312,8 @@ def alpha_threshold(depth: int, c: float) -> WalkFamily:
     all that classification sees, is the exact boundary shape.  Transient
     iff c > 1.
     """
-    if not isinstance(depth, int) or not 1 <= depth <= K_MAX_NUMERIC - 1:
-        raise ValueError(f"depth must be an integer in 1..{K_MAX_NUMERIC - 1}")
+    _check_depth(depth, K_MAX_NUMERIC - 1)
+    c = float(c)
     if not (math.isfinite(c) and c >= 0):
         raise ValueError("c must be finite and non-negative")
     cap = 1.0
@@ -328,13 +336,3 @@ def alpha_threshold(depth: int, c: float) -> WalkFamily:
         name="alpha-threshold", params={"K": depth, "c": c}, drift=drift,
         truth=Fate.TRANSIENT if c > 1 else Fate.RECURRENT,
     )
-
-
-WALK_FACTORIES: dict[str, tuple[Callable[..., WalkFamily], tuple[str, ...]]] = {
-    "alpha-const": (alpha_const, ("a",)),
-    "alpha-threshold": (alpha_threshold, ("K", "c")),
-}
-
-
-def make_walk_family(name: str, **params: float) -> WalkFamily:
-    return _make_family(WALK_FACTORIES, "walk", name, params)

@@ -1,4 +1,4 @@
-"""Structured analysis reports.
+"""Structured analysis reports, rendered as JSON or as text.
 
 A report is a plain JSON-compatible document: the echoed input (enough to
 re-run the exact analysis), the verdict or simulation results with their
@@ -7,6 +7,10 @@ has no timing.  Two runs of the same analysis produce byte-identical JSON
 except for ``timing_ms``; numbers are serialized with full round-trip
 precision, and a non-finite number (an infinite coefficient, a NaN sample)
 as ``null``, since JSON has no NaN or Infinity.
+
+This module alone knows a result's layout: it builds the result dicts and
+renders them.  Text is the short form (decision, tail range, note and one
+line per depth, or the simulation summary), with ``inf`` and ``nan`` kept.
 """
 
 from __future__ import annotations
@@ -47,6 +51,31 @@ class Report:
     def to_json(self) -> str:
         return json.dumps(_finite_or_null(self.to_dict()), indent=2, allow_nan=False)
 
+    def to_text(self) -> str:
+        r = self.result
+        lines = [f"mode: {self.mode}"]
+        if self.mode == "series":
+            lines += _verdict_lines(r)
+        elif self.mode in ("bdp", "rwalk"):  # a walk reports its induced chain
+            verdict = (r if self.mode == "bdp" else r["chain"])["series_verdict"]
+            prefix = "  series " if self.mode == "bdp" else "  chain series "
+            lines += [f"decision: {r['decision']}", *_verdict_lines(verdict, prefix)]
+        elif self.mode == "simulate":
+            mfr, fp = r["mean_first_return"], r["final_positions"]
+            lines += [
+                f"paths: {r['n_paths']}  horizon: {r['horizon']}  seed: {r['seed']}",
+                f"returned: {r['returned_paths']} ({r['returned_fraction']:.4f})",
+                f"mean first return: {'n/a' if mfr is None else f'{mfr:.2f}'}",
+                f"max excursion: {r['max_excursion']}",
+                f"final positions: mean={fp['mean']:.2f} median={fp['median']:.1f} "
+                f"min={fp['min']} max={fp['max']}",
+            ]
+        elif self.mode == "iterlog":
+            lines.append(f"value: {r['value']!r}")
+        if self.timing_ms is not None:
+            lines.append(f"elapsed: {self.timing_ms:.1f} ms")
+        return "\n".join(lines)
+
 
 def _finite_or_null(value: Any) -> Any:
     """``value`` with every non-finite float, however deeply nested, made None."""
@@ -85,6 +114,23 @@ def verdict_to_dict(v: Verdict) -> dict[str, Any]:
             for r in v.trace
         ],
     }
+
+
+def _verdict_lines(v: dict[str, Any], prefix: str = "") -> list[str]:
+    """A verdict dict as text lines: decision, range, note, then one line per depth."""
+    lines = [f"{prefix}decision: {v['decision']}",
+             f"{prefix}level: {v['level']}  window: {v['window']}  margin: {v['margin']}"]
+    if v["s_min"] is not None:
+        lines.append(f"{prefix}tail coefficient range: [{v['s_min']:.6g}, {v['s_max']:.6g}]")
+    if v["note"]:
+        lines.append(f"{prefix}note: {v['note']}")
+    for step in v["trace"]:
+        rng = "" if step["s_min"] is None else f"  s in [{step['s_min']:.6g}, {step['s_max']:.6g}]"
+        guard = step["guard"]
+        guard_txt = "" if guard is None else f"  guard={'pass' if guard['passed'] else 'FAIL'}"
+        esc = f"  -> {step['escalated']}" if step["escalated"] else ""
+        lines.append(f"{prefix}  depth {step['level']}: {step['decision']}{rng}{guard_txt}{esc}")
+    return lines
 
 
 def classification_to_dict(c: Classification) -> dict[str, Any]:

@@ -1,8 +1,10 @@
 """Birth-death chain classification via the product-series reduction."""
 
 import math
+import re
 from fractions import Fraction
 
+import numpy
 import pytest
 
 from demorgan.birthdeath import BirthDeathRates, Fate, bdp_classify, recurrence_ratio
@@ -40,6 +42,23 @@ class TestRecurrenceRatio:
         spec = recurrence_ratio(rates)
         with pytest.raises(DomainError):
             spec.ratio(5)  # lambda(6) < 0
+
+
+class TestFirstIndex:
+    @pytest.mark.parametrize("bad", [1.5, True, numpy.int64(5), "5"], ids=repr)
+    def test_non_integer_rejected_when_built(self, bad):
+        message = re.escape(f"first_index must be an integer, got {bad!r}") + "$"
+        with pytest.raises(ValueError, match=f"^{message}"):
+            BirthDeathRates(lam=lambda n: 2.0, mu=lambda n: 1.0, first_index=bad)
+
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_index_below_one_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"^first_index must be >= 1, got {bad}$"):
+            BirthDeathRates(lam=lambda n: 2.0, mu=lambda n: 1.0, first_index=bad)
+
+    def test_first_index_passes_through(self):
+        rates = BirthDeathRates(lam=lambda n: 2.0, mu=lambda n: 1.0, first_index=7)
+        assert recurrence_ratio(rates).first_index == 7
 
 
 class TestCriterionFidelity:

@@ -1,7 +1,9 @@
 """Catalog families: ground truth, delta consistency, expression agreement."""
 
 import math
+import re
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,7 +31,6 @@ from demorgan.families import (
     log_power,
     make_rate_family,
     make_series_family,
-    make_walk_family,
     p_series,
 )
 from demorgan.iterlog import INDEX_LIMIT, iterlog_product, min_domain
@@ -257,6 +258,8 @@ class TestRateFamilies:
         assert fam.params == {"K": 2, "c": 1.5}
         with pytest.raises(ValueError):
             make_rate_family("bd-power")
+        with pytest.raises(ValueError, match="^depth must be an integer, got 2.0$"):
+            make_rate_family("bd-iterlog", K=2.0, c=1.5)  # no silent int(): 2.5 was depth 2
 
 
 class TestWalkFamilies:
@@ -265,6 +268,7 @@ class TestWalkFamilies:
     ])
     def test_constant_drift_thresholds(self, a, expected):
         fam = alpha_const(a)
+        assert fam.drift.C == 0.5
         assert fam.truth is expected
         assert rw_classify(fam.drift).decision is expected
 
@@ -304,11 +308,6 @@ class TestWalkFamilies:
             with pytest.raises(DomainError):
                 alpha(n)
 
-    def test_registry(self):
-        fam = make_walk_family("alpha-const", a=0.3)
-        assert fam.drift.C == 0.5
-        with pytest.raises(ValueError):
-            make_walk_family("alpha-const", a=None)
 
 
 def _decision(fam, config):
@@ -343,7 +342,6 @@ def test_no_wrong_decisive_verdict_near_threshold(fam, config):
 @pytest.mark.parametrize("make,name,params", [
     (make_series_family, "p-series", {"p": 2.0}),
     (make_rate_family, "bd-power", {"c": 2.0}),
-    (make_walk_family, "alpha-const", {"a": 0.3}),
 ])
 def test_registries_validate_alike(make, name, params):
     with pytest.raises(ValueError, match="unknown .* family 'nope'"):
@@ -353,3 +351,38 @@ def test_registries_validate_alike(make, name, params):
     with pytest.raises(ValueError, match="does not take: K"):
         make(name, K=3, **params)
     assert make(name, K=None, **params).params == params
+
+
+# Every factory with its parameter given as a Python float; the sources below
+# are compared bit for bit with the same factory given a numpy float.
+FACTORIES = [
+    (p_series, (), 1.25), (log_power, (), 1.25), (iterlog_power, (2,), 1.25),
+    (geometric, (), 0.5), (bd_power, (), 1.25), (bd_log, (), 1.25),
+    (bd_iterlog, (3,), 1.25), (alpha_const, (), 0.3), (alpha_threshold, (2,), 1.25),
+]
+
+
+def _source(fam):
+    """The delta, rate ratio or drift function of a family of any kind."""
+    if hasattr(fam, "ratio_spec"):
+        return fam.ratio_spec.delta
+    if hasattr(fam, "rates"):
+        return fam.rates.ratio_delta
+    return fam.drift.alpha
+
+
+@pytest.mark.parametrize("make,depth,value", FACTORIES, ids=[f[0].__name__ for f in FACTORIES])
+def test_numpy_float_parameter_builds_the_same_family(make, depth, value):
+    plain, wrapped = make(*depth, value), make(*depth, numpy.float64(value))
+    assert repr(wrapped.params) == repr(plain.params)
+    assert getattr(wrapped, "expression", None) == getattr(plain, "expression", None)
+    for n in (10**4, 5 * 10**6):
+        assert type(_source(wrapped)(n)) is float
+        assert _source(wrapped)(n).hex() == _source(plain)(n).hex()
+
+
+@pytest.mark.parametrize("make", [iterlog_power, bd_iterlog, alpha_threshold])
+@pytest.mark.parametrize("depth", [True, numpy.int64(2), 2.0, 0, 5], ids=repr)
+def test_depth_must_be_an_int_in_range(make, depth):
+    with pytest.raises(ValueError, match=f"^depth must be an integer.*got {re.escape(repr(depth))}$"):
+        make(depth, 1.5)

@@ -9,14 +9,14 @@ decisive verdict against the truth is wrong; an inconclusive one never is.
 
 ``tests/wrong_verdicts.json`` holds the keys that are wrong today.  The test
 fails when any other key comes out wrong, and when a stored key is no longer
-wrong: a change that mends a verdict removes its key.  Run
-``python tests/test_wrong_verdicts.py`` to drop the mended keys from the
-file; it never adds one.
+wrong: a change that mends a verdict removes its key (``tests/ratchet.py``).
+Run ``PYTHONPATH=src python tests/test_wrong_verdicts.py`` to drop the mended
+keys from the file; it never adds one.
 """
 
-import json
 from pathlib import Path
 
+import ratchet
 from demorgan import families
 from demorgan.birthdeath import BirthDeathRates, bdp_classify
 from demorgan.convergence import RatioSpec, adaptive_classify
@@ -142,22 +142,14 @@ def audit() -> tuple[set[str], int, int]:
     return wrong, inconclusive, total
 
 
-def _stored() -> set[str]:
-    return set(json.loads(WRONG_PATH.read_text()))
-
-
 def test_no_new_wrong_verdict():
     wrong, inconclusive, total = audit()
-    stored = _stored()
     print(f"{total} verdicts: {len(wrong)} wrong, {inconclusive} inconclusive")
-    assert not wrong - stored, f"new wrong verdicts: {sorted(wrong - stored)}"
-    assert not stored - wrong, (
-        f"mended, remove from {WRONG_PATH.name}: {sorted(stored - wrong)}")
+    ratchet.check(wrong, WRONG_PATH)
 
 
 if __name__ == "__main__":
     wrong, inconclusive, total = audit()
-    kept = sorted(_stored() & wrong)
-    WRONG_PATH.write_text("[\n" + ",\n".join(json.dumps(k) for k in kept) + "\n]\n")
+    kept = ratchet.prune(wrong, WRONG_PATH)
     print(f"{total} verdicts: {len(wrong)} wrong, {inconclusive} inconclusive; "
-          f"kept {len(kept)} keys in {WRONG_PATH}")
+          f"kept {kept} keys in {WRONG_PATH}")
