@@ -329,7 +329,8 @@ WRONG_NEAR_THRESHOLD = [
 ]
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: wrong decisive verdict near the threshold")
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: wrong decisive verdict near the threshold")
 @pytest.mark.parametrize("fam,config", WRONG_NEAR_THRESHOLD, ids=[
     "-".join([fam.name, *map(str, fam.params.values())] + (["k_start=4"] if config else []))
     for fam, config in WRONG_NEAR_THRESHOLD
