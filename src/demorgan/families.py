@@ -1,10 +1,10 @@
-"""Built-in parametric families with analytic ground truth.
+"""Built-in parametric families whose fate is known in closed form.
 
-These back the acceptance suite and the CLI: every family knows its true
-convergence (or recurrence) behaviour, carries a cancellation-free delta
-form for accurate extraction at large n, and, for series, evaluates its
-terms through the same expression engine a user-supplied formula would use,
-so the family route and the expression route agree bit for bit.
+These back the acceptance suite and the CLI.  A family builds a source with
+a cancellation-free delta form for accurate extraction at large n; a series
+evaluates its terms through the same expression engine a user formula uses,
+so the family and expression routes agree bit for bit.  The fates listed
+below are mathematics: the tests take them from ``tests/oracle.py``.
 
 Series catalog:
 
@@ -27,8 +27,8 @@ from typing import Callable
 
 import mpmath as mp
 
-from .birthdeath import BirthDeathRates, Fate
-from .convergence import Decision, RatioSpec, _check_integers
+from .birthdeath import BirthDeathRates
+from .convergence import RatioSpec, _check_integers
 from .errors import DomainError
 from .expr import parse_expression
 from .iterlog import K_MAX_NUMERIC, _check_index, min_domain
@@ -45,7 +45,6 @@ class _Family:
 class SeriesFamily(_Family):
     expression: str
     ratio_spec: RatioSpec
-    truth: Decision
     hp_term: Callable[[int], mp.mpf]
 
 
@@ -108,7 +107,6 @@ def _log_scale(name: str, depth: int, params: dict[str, float]) -> SeriesFamily:
             ratio=_term_ratio(parse_expression(expression)), delta=delta,
             first_index=1 if depth < 0 else min_domain(depth + 1),
         ),
-        truth=Decision.CONVERGES if r > 1 else Decision.DIVERGES,
         hp_term=hp_term,
     )
 
@@ -122,10 +120,10 @@ def log_power(r: float) -> SeriesFamily:
     return _log_scale("log-power", 0, {"r": float(r)})
 
 
-def iterlog_power(depth: int, r: float) -> SeriesFamily:
-    """1 / (n * ln(n) * ... * ln_(depth)(n) * ln_(depth+1)(n)^r)."""
-    _check_depth(depth, K_MAX_NUMERIC - 1)
-    return _log_scale("iterlog-power", depth, {"K": depth, "r": float(r)})
+def iterlog_power(K: int, r: float) -> SeriesFamily:
+    """1 / (n * ln(n) * ... * ln_(K)(n) * ln_(K+1)(n)^r)."""
+    _check_depth(K, K_MAX_NUMERIC - 1)
+    return _log_scale("iterlog-power", K, {"K": K, "r": float(r)})
 
 
 def geometric(x: float) -> SeriesFamily:
@@ -150,7 +148,6 @@ def geometric(x: float) -> SeriesFamily:
         params={"x": x},
         expression=expression,
         ratio_spec=RatioSpec(ratio=ratio, delta=delta, first_index=1),
-        truth=Decision.CONVERGES if x < 1 else Decision.DIVERGES,
         hp_term=hp_term,
     )
 
@@ -165,7 +162,7 @@ SERIES_FACTORIES: dict[str, tuple[Callable[..., SeriesFamily], tuple[str, ...]]]
 
 def _make_family(factories: dict, kind: str, name: str, params: dict):
     """Build a family from a registry; unknown names and missing or extra
-    parameters are rejected.  A ``K`` parameter is the factory's ``depth``."""
+    parameters are rejected."""
     if name not in factories:
         raise ValueError(f"unknown {kind} family {name!r}; known: {', '.join(sorted(factories))}")
     factory, wanted = factories[name]
@@ -175,10 +172,7 @@ def _make_family(factories: dict, kind: str, name: str, params: dict):
     extra = [k for k, v in params.items() if k not in wanted and v is not None]
     if extra:
         raise ValueError(f"family {name!r} does not take: {', '.join(extra)}")
-    kwargs = {w: params[w] for w in wanted}
-    if "K" in kwargs:
-        kwargs["depth"] = kwargs.pop("K")
-    return factory(**kwargs)
+    return factory(**{w: params[w] for w in wanted})
 
 
 def make_series_family(name: str, **params: float) -> SeriesFamily:
@@ -210,7 +204,6 @@ ACCEPTANCE_CATALOG: tuple[tuple[str, dict[str, float]], ...] = (
 @dataclass(frozen=True)
 class RateFamily(_Family):
     rates: BirthDeathRates
-    truth: Fate
 
 
 def _boundary_rates(name: str, depth: int, params: dict[str, float]) -> RateFamily:
@@ -243,10 +236,7 @@ def _boundary_rates(name: str, depth: int, params: dict[str, float]) -> RateFami
         first_index=first,
         ratio_delta=delta,
     )
-    return RateFamily(
-        name=name, params=params, rates=rates,
-        truth=Fate.TRANSIENT if c > 1 else Fate.RECURRENT,
-    )
+    return RateFamily(name=name, params=params, rates=rates)
 
 
 def bd_power(c: float) -> RateFamily:
@@ -259,11 +249,11 @@ def bd_log(c: float) -> RateFamily:
     return _boundary_rates("bd-log", 1, {"c": float(c)})
 
 
-def bd_iterlog(depth: int, c: float) -> RateFamily:
-    """lambda/mu = 1 + 1/n + sum_{k<depth} 1/(n prod_k) + c/(n prod_depth);
+def bd_iterlog(K: int, c: float) -> RateFamily:
+    """lambda/mu = 1 + 1/n + sum_{k<K} 1/(n prod_k) + c/(n prod_K);
     transient iff c > 1."""
-    _check_depth(depth, K_MAX_NUMERIC)
-    return _boundary_rates("bd-iterlog", depth, {"K": depth, "c": float(c)})
+    _check_depth(K, K_MAX_NUMERIC)
+    return _boundary_rates("bd-iterlog", K, {"K": K, "c": float(c)})
 
 
 RATE_FACTORIES: dict[str, tuple[Callable[..., RateFamily], tuple[str, ...]]] = {
@@ -284,7 +274,6 @@ def make_rate_family(name: str, **params: float) -> RateFamily:
 @dataclass(frozen=True)
 class WalkFamily(_Family):
     drift: DriftSpec
-    truth: Fate
 
 
 def alpha_const(a: float) -> WalkFamily:
@@ -297,28 +286,25 @@ def alpha_const(a: float) -> WalkFamily:
     a = float(a)
     if not (math.isfinite(a) and 0.0 < a < 0.5):
         raise ValueError(f"need 0 < a < 1/2, got {a}")
-    drift = DriftSpec(alpha=lambda n: a, C=0.5)
-    return WalkFamily(
-        name="alpha-const", params={"a": a}, drift=drift,
-        truth=Fate.TRANSIENT if a > 0.25 else Fate.RECURRENT,
-    )
+    return WalkFamily(name="alpha-const", params={"a": a},
+                      drift=DriftSpec(alpha=lambda n: a, C=0.5))
 
 
-def alpha_threshold(depth: int, c: float) -> WalkFamily:
-    """Boundary-shaped drift (1/4)(1 + sum_{k<depth} 1/prod_k + c/prod_depth).
+def alpha_threshold(K: int, c: float) -> WalkFamily:
+    """Boundary-shaped drift (1/4)(1 + sum_{k<K} 1/prod_k + c/prod_K).
 
     Below the first index where every log factor exceeds 1 the formula is
     frozen at that index and capped under min(C, n/2); the tail, which is
     all that classification sees, is the exact boundary shape.  Transient
     iff c > 1.
     """
-    _check_depth(depth, K_MAX_NUMERIC - 1)
+    _check_depth(K, K_MAX_NUMERIC - 1)
     c = float(c)
     if not (math.isfinite(c) and c >= 0):
         raise ValueError("c must be finite and non-negative")
     cap = 1.0
-    floor_index = min_domain(depth + 1)
-    weights = (1.0,) * (depth - 1) + (c,)
+    floor_index = min_domain(K + 1)
+    weights = (1.0,) * (K - 1) + (c,)
 
     def alpha(n: int) -> float:
         m = max(n, floor_index)
@@ -331,8 +317,5 @@ def alpha_threshold(depth: int, c: float) -> WalkFamily:
         value *= 0.25
         return min(value, 0.999 * min(cap, 0.5 * n))
 
-    drift = DriftSpec(alpha=alpha, C=cap)
-    return WalkFamily(
-        name="alpha-threshold", params={"K": depth, "c": c}, drift=drift,
-        truth=Fate.TRANSIENT if c > 1 else Fate.RECURRENT,
-    )
+    return WalkFamily(name="alpha-threshold", params={"K": K, "c": c},
+                      drift=DriftSpec(alpha=alpha, C=cap))

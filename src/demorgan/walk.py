@@ -256,12 +256,15 @@ def rw_classify(spec: DriftSpec, config: ClassifyConfig | None = None) -> RWClas
 
 def _check_run_args(seed: int, horizon: int, n_paths: int) -> None:
     """Argument check shared by ``simulate`` and ``simulate_reference``."""
+    def integer(value) -> bool:  # a bool is an int to Python, but no seed or count
+        return isinstance(value, int) and not isinstance(value, bool)
+
     # The kernel counts steps in int64_t: a horizon of 2^63 would wrap.
-    if not isinstance(horizon, int) or not 1 <= horizon < 2**63:
+    if not integer(horizon) or not 1 <= horizon < 2**63:
         raise ValueError(f"horizon must be an integer in [1, 2^63), got {horizon!r}")
-    if not isinstance(n_paths, int) or n_paths < 1:
+    if not integer(n_paths) or n_paths < 1:
         raise ValueError(f"n_paths must be a positive integer, got {n_paths!r}")
-    if not isinstance(seed, int) or not 0 <= seed <= _MASK64:
+    if not integer(seed) or not 0 <= seed <= _MASK64:
         raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
 
 

@@ -15,6 +15,10 @@ Raabe, Bertrand and depth-K tests specialise: with the weight
 zeta_K(n) = n * ln(n) * ... * ln_(K)(n) its statistic rho^(K)_n equals
 s^(K)_n - 1 + O(1/n), so it checks :func:`demorgan.convergence.extract_sn`
 by a different formula.  ``reconstruct_ratio`` inverts the extraction.
+
+Last, it is the answer key: the closed-form fate of every catalog family
+and expression shape, which the catalog tests, the acceptance suite and the
+wrong-verdict ratchet grade against.  The families themselves carry none.
 """
 
 from __future__ import annotations
@@ -214,3 +218,43 @@ def reconstruct_ratio(K: int, s: float, n: int) -> float:
         t += 1.0 / (float(n) * float_iterlog_product(i, n))
     t += 1.0 / n
     return 1.0 + t
+
+
+# ---------------------------------------------------------------------------
+# The answer key: each fate in closed form, as a decision value.
+
+
+def series_truth(x):  # the extended Bertrand-De Morgan test at its deciding exponent
+    return "converges" if x > 1.0 else "diverges"
+
+
+def geometric_truth(x):
+    return "converges" if x < 1.0 else "diverges"
+
+
+def chain_truth(x):  # the boundary coefficient of lambda/mu, and of alpha-threshold
+    return "transient" if x > 1.0 else "recurrent"
+
+
+def drift_truth(a):  # Lamperti: the reflected walk is transient iff its drift exceeds 1/4
+    return "transient" if a > 0.25 else "recurrent"
+
+
+# family name: (the parameter that decides, its rule)
+_CATALOG_RULES = {
+    "p-series": ("p", series_truth),
+    "log-power": ("r", series_truth),
+    "iterlog-power": ("r", series_truth),
+    "geometric": ("x", geometric_truth),
+    "bd-power": ("c", chain_truth),
+    "bd-log": ("c", chain_truth),
+    "bd-iterlog": ("c", chain_truth),
+    "alpha-const": ("a", drift_truth),
+    "alpha-threshold": ("c", chain_truth),
+}
+
+
+def catalog_truth(name: str, params: dict) -> str:
+    """The decision value that is right for the catalog family ``name``."""
+    key, rule = _CATALOG_RULES[name]
+    return rule(params[key])

@@ -10,12 +10,20 @@ delta a_n/a_{n+1} - 1 = expm1(sum_k p_k * D_k(n)), with D_0 = log1p(1/n)
 and D_k = log1p(D_(k-1) / ln_k(n)), is free of cancellation; it is pinned
 against 60-digit mpmath below.
 
+The same draws are also fed to ``bdp_classify`` as a birth-death chain
+with raw rates lambda_n = 1 + delta(n - 1) and mu_n = 1, from the same first
+index and with no ``ratio_delta``: the product series of that chain is the
+drawn series, so it is transient iff the series converges.  Its rate ratio
+takes the raw-ratio route and its cancellation monitor, which the series
+audit's exact delta never reaches.
+
 The draws are fixed: ``random.Random(SEED)``, ``COUNT`` of them.
-``tests/generated_verdicts.json`` holds the keys, the ``repr`` of each
-exponent vector, that are wrong today, under the ratchet of
+``tests/generated_verdicts.json`` (series) and
+``tests/generated_chain_verdicts.json`` (chains) hold the keys, the ``repr``
+of each exponent vector, that are wrong today, under the ratchet of
 ``tests/ratchet.py``: any other wrong key fails, and so does a stored key
 that is mended.  Run ``PYTHONPATH=src python tests/test_generated_verdicts.py``
-to drop the mended keys from the file; it never adds one.
+to drop the mended keys from both files; it never adds one.
 """
 
 import math
@@ -27,11 +35,13 @@ import pytest
 
 import oracle as hp
 import ratchet
+from demorgan.birthdeath import BirthDeathRates, bdp_classify
 from demorgan.convergence import RatioSpec, adaptive_classify
 from demorgan.iterlog import min_domain
 
 SEED, COUNT = 1, 2000
 WRONG_PATH = Path(__file__).with_name("generated_verdicts.json")
+CHAIN_WRONG_PATH = Path(__file__).with_name("generated_chain_verdicts.json")
 
 
 def draw(rng: random.Random) -> tuple[float, ...]:
@@ -47,6 +57,10 @@ def truth(p: tuple[float, ...]) -> str:
     return "converges" if deciding > 1.0 else "diverges"
 
 
+def chain_truth(p: tuple[float, ...]) -> str:
+    return "transient" if truth(p) == "converges" else "recurrent"
+
+
 def delta_of(p: tuple[float, ...]):
     def delta(n: int) -> float:
         d = math.log1p(1.0 / n)
@@ -59,22 +73,41 @@ def delta_of(p: tuple[float, ...]):
     return delta
 
 
-def spec_of(p: tuple[float, ...]) -> RatioSpec:
+def first_index(p: tuple[float, ...]) -> int:
+    return max(3, min_domain(len(p)))
+
+
+def series_decision(p: tuple[float, ...]) -> str:
     delta = delta_of(p)
-    return RatioSpec(ratio=lambda n: 1.0 + delta(n), delta=delta,
-                     first_index=max(3, min_domain(len(p))))
+    spec = RatioSpec(ratio=lambda n: 1.0 + delta(n), delta=delta, first_index=first_index(p))
+    return adaptive_classify(spec).decision.value
 
 
-def audit(seed: int = SEED, count: int = COUNT) -> tuple[set[str], int]:
-    """(wrong keys, inconclusive count) over the draws of ``seed``."""
+def chain_decision(p: tuple[float, ...]) -> str:
+    delta = delta_of(p)
+    rates = BirthDeathRates(lam=lambda n: 1.0 + delta(n - 1), mu=lambda n: 1.0,
+                            first_index=first_index(p))
+    return bdp_classify(rates).decision.value
+
+
+# kind: (decision(p), truth(p), stored wrong keys)
+AUDITS = {
+    "series": (series_decision, truth, WRONG_PATH),
+    "chain": (chain_decision, chain_truth, CHAIN_WRONG_PATH),
+}
+
+
+def audit(kind: str = "series", seed: int = SEED, count: int = COUNT) -> tuple[set[str], int]:
+    """(wrong keys, inconclusive count) of one kind over the draws of ``seed``."""
+    decide, right, _ = AUDITS[kind]
     rng = random.Random(seed)
     wrong, inconclusive = set(), 0
     for _ in range(count):
         p = draw(rng)
-        decision = adaptive_classify(spec_of(p)).decision.value
+        decision = decide(p)
         if decision == "inconclusive":
             inconclusive += 1
-        elif decision != truth(p):
+        elif decision != right(p):
             wrong.add(repr(p))
     return wrong, inconclusive
 
@@ -98,13 +131,20 @@ def test_delta_matches_mpmath(p, n):
 
 
 def test_no_new_wrong_generated_verdict():
-    wrong, inconclusive = audit()
+    wrong, inconclusive = audit("series")
     print(f"{COUNT} generated verdicts: {len(wrong)} wrong, {inconclusive} inconclusive")
     ratchet.check(wrong, WRONG_PATH)
 
 
+def test_no_new_wrong_generated_chain_verdict():
+    wrong, inconclusive = audit("chain")
+    print(f"{COUNT} generated chains: {len(wrong)} wrong, {inconclusive} inconclusive")
+    ratchet.check(wrong, CHAIN_WRONG_PATH)
+
+
 if __name__ == "__main__":
-    wrong, inconclusive = audit()
-    kept = ratchet.prune(wrong, WRONG_PATH)
-    print(f"{COUNT} generated verdicts: {len(wrong)} wrong, {inconclusive} inconclusive; "
-          f"kept {kept} keys in {WRONG_PATH}")
+    for kind, (_, _, path) in AUDITS.items():
+        wrong, inconclusive = audit(kind)
+        kept = ratchet.prune(wrong, path)
+        print(f"{COUNT} generated {kind} verdicts: {len(wrong)} wrong, "
+              f"{inconclusive} inconclusive; kept {kept} keys in {path}")

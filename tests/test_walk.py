@@ -381,6 +381,14 @@ class TestSimulation:
             with pytest.raises(ValueError, match="n_paths"):
                 run(QUARTER, seed=1, horizon=5, n_paths=0)
 
+    @pytest.mark.parametrize("name", ["seed", "horizon", "n_paths"])
+    def test_bool_argument_rejected(self, name):
+        # A bool is an int to Python; True ran as seed 1, horizon 1 or one path.
+        args = {"seed": 1, "horizon": 5, "n_paths": 4, name: True}
+        for run in (simulate, simulate_reference):
+            with pytest.raises(ValueError, match=f"^{name} must be .*, got True$"):
+                run(QUARTER, **args)
+
     def test_recurrent_vs_transient_return_rates(self):
         # Small-scale version of the corroboration run: the recurrent walk
         # returns far more often than the transient one.

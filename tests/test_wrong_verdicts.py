@@ -4,8 +4,8 @@ Every series, rate and walk family and every expression shape is classified
 on a fixed grid that crosses its threshold: series exponents 0.3-3 in steps
 of 0.01, rate coefficients 0-3 in steps of 0.01, drifts 0.05-0.45 in steps
 of 0.002 and geometric x 0.5-1.5 in steps of 0.01.  Each truth comes from
-the analytic threshold, never from the program's own ``truth`` fields.  A
-decisive verdict against the truth is wrong; an inconclusive one never is.
+the analytic threshold, the answer key in ``tests/oracle.py``.  A decisive
+verdict against the truth is wrong; an inconclusive one never is.
 
 ``tests/wrong_verdicts.json`` holds the keys that are wrong today.  The test
 fails when any other key comes out wrong, and when a stored key is no longer
@@ -18,6 +18,7 @@ from pathlib import Path
 
 import ratchet
 from demorgan import families
+from oracle import chain_truth, drift_truth, geometric_truth, series_truth
 from demorgan.birthdeath import BirthDeathRates, bdp_classify
 from demorgan.convergence import RatioSpec, adaptive_classify
 from demorgan.expr import parse_expression
@@ -34,22 +35,6 @@ EXPONENTS = _grid(0.3, 3.0, 0.01)
 COEFFICIENTS = _grid(0.0, 3.0, 0.01)
 DRIFTS = _grid(0.05, 0.45, 0.002)
 GEOMETRIC = _grid(0.5, 1.5, 0.01)
-
-
-def series_truth(x):
-    return "converges" if x > 1.0 else "diverges"
-
-
-def geometric_truth(x):
-    return "converges" if x < 1.0 else "diverges"
-
-
-def chain_truth(x):
-    return "transient" if x > 1.0 else "recurrent"
-
-
-def drift_truth(a):  # Lamperti: the reflected walk is transient iff its drift exceeds 1/4
-    return "transient" if a > 0.25 else "recurrent"
 
 
 def _series(build):
