@@ -57,7 +57,8 @@ def truth(p: tuple[float, ...]) -> str:
     return "converges" if deciding > 1.0 else "diverges"
 
 
-def chain_truth(p: tuple[float, ...]) -> str:
+def fate(p: tuple[float, ...]) -> str:
+    """The truth of the chain whose product series is the draw."""
     return "transient" if truth(p) == "converges" else "recurrent"
 
 
@@ -93,7 +94,7 @@ def chain_decision(p: tuple[float, ...]) -> str:
 # kind: (decision(p), truth(p), stored wrong keys)
 AUDITS = {
     "series": (series_decision, truth, WRONG_PATH),
-    "chain": (chain_decision, chain_truth, CHAIN_WRONG_PATH),
+    "chain": (chain_decision, fate, CHAIN_WRONG_PATH),
 }
 
 

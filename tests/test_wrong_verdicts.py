@@ -18,11 +18,11 @@ from pathlib import Path
 
 import ratchet
 from demorgan import families
-from oracle import chain_truth, drift_truth, geometric_truth, series_truth
 from demorgan.birthdeath import BirthDeathRates, bdp_classify
 from demorgan.convergence import RatioSpec, adaptive_classify
 from demorgan.expr import parse_expression
 from demorgan.walk import DriftSpec, rw_classify
+from oracle import chain_truth, drift_truth, geometric_truth, series_truth
 
 WRONG_PATH = Path(__file__).with_name("wrong_verdicts.json")
 
