@@ -201,12 +201,16 @@ def sample_grid(
 
     With explicit support, returns the supported indices in range, sorted
     and deduplicated, thinned geometrically when there are more than
-    ``count`` of them.
+    ``count`` of them.  The window ends and ``count`` must be ints, with lo >= 1.
     """
+    _check_integers("window end", lo, hi)
+    _check_integers("count", count)
     if count < 2:
         raise ValueError(f"need at least 2 samples, got {count}")
     if hi <= lo:
         raise InvalidWindow(f"window [{lo}, {hi}] is empty")
+    if lo < 1:
+        raise InvalidWindow(f"window [{lo}, {hi}] starts below index 1")
     if support is not None:
         inside = [n for n in support if lo <= n <= hi]
         inside = inside if all(map(lt, inside, inside[1:])) else sorted(set(inside))

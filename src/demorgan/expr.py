@@ -18,7 +18,8 @@ evaluation outside that region raises :class:`~demorgan.errors.EvalError`.
 Every input either parses or raises :class:`ExpressionSyntaxError` with a
 position; nothing panics, including pathologically nested input or a chain
 of thousands of terms.  Parsing compiles the expression, once, into nested
-closures, which every call then runs.
+closures that bind their operations (``+ - * / ^``, ``ln``, ``exp``, ``iterlog``)
+from a table, ``_FLOAT_OPS``; over another table the AST runs in another number system.
 """
 
 from __future__ import annotations
@@ -145,8 +146,8 @@ class _Parser:
         return node
 
 
-def _compile(node: Node) -> Callable[[float], float]:
-    """Nested closures evaluating ``node`` at n, with every runtime check of the language.
+def _compile(node: Node, ops: dict[str, Callable]) -> Callable[[float], float]:
+    """Closures evaluating ``node`` at n over ``ops``, with every runtime check of the language.
 
     The left spine of binary operators, as in ``a + b - c / d``, is one
     closure applying them in turn from the left, so its length costs no
@@ -161,9 +162,9 @@ def _compile(node: Node) -> Callable[[float], float]:
     if kind == "bin":
         steps = []
         while node[0] == "bin":
-            steps.append((_OPERATORS[node[1]], _compile(node[3])))
+            steps.append((ops[node[1]], _compile(node[3], ops)))
             node = node[2]
-        first, steps = _compile(node), steps[::-1]
+        first, steps = _compile(node, ops), steps[::-1]
 
         def chain(n):
             a = first(n)
@@ -179,14 +180,14 @@ def _compile(node: Node) -> Callable[[float], float]:
                     raise EvalError(f"domain error evaluating '^' at n={n}: {exc}") from None
             return a
         return chain
-    name, arg = node[1], _compile(node[-1])
+    name, arg, op = node[1], _compile(node[-1], ops), ops[node[1]]
     if name == "iterlog":
         k = node[2]
 
         def iterated_log(n):
             x = arg(n)
             try:
-                v = iterlog(k, x)
+                v = op(k, x)
             except DomainError as exc:
                 raise EvalError(str(exc)) from None
             if v <= 0.0:
@@ -200,20 +201,20 @@ def _compile(node: Node) -> Callable[[float], float]:
             x = arg(n)
             if x <= 0.0:
                 raise EvalError(f"ln of non-positive value {x} at n={n}")
-            return math.log(x)
+            return op(x)
         return ln
 
     def exp(n):
         x = arg(n)
         try:
-            return math.exp(x)
+            return op(x)
         except OverflowError:
             raise EvalError(f"overflow in exp({x})") from None
     return exp
 
 
-_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
-              "^": math.pow}
+_FLOAT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+              "^": math.pow, "ln": math.log, "exp": math.exp, "iterlog": iterlog}
 
 
 @dataclass(frozen=True)
@@ -241,4 +242,4 @@ def parse_expression(text: str) -> Expression:
     if not isinstance(text, str):
         raise ExpressionSyntaxError("expression must be a string", 0)
     ast = _Parser(text).parse()
-    return Expression(text, ast, _compile(ast))
+    return Expression(text, ast, _compile(ast, _FLOAT_OPS))

@@ -3,8 +3,9 @@
 These back the acceptance suite and the CLI.  A family builds a source with
 a cancellation-free delta form for accurate extraction at large n; a series
 evaluates its terms through the same expression engine a user formula uses,
-so the family and expression routes agree bit for bit.  The fates listed
-below are mathematics: the tests take them from ``tests/oracle.py``.
+so the family and expression routes agree bit for bit, and its ``hp_term``
+is that expression compiled over mpmath.  The fates listed below are
+mathematics: the tests take them from ``tests/oracle.py``.
 
 Series catalog:
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import mpmath as mp
@@ -30,7 +32,7 @@ import mpmath as mp
 from .birthdeath import BirthDeathRates
 from .convergence import RatioSpec, _check_integers
 from .errors import DomainError
-from .expr import parse_expression
+from .expr import _FLOAT_OPS, _compile, parse_expression
 from .iterlog import K_MAX_NUMERIC, _check_index, min_domain
 from .walk import DriftSpec
 
@@ -41,11 +43,29 @@ class _Family:
     params: dict[str, float]
 
 
+def _mp_iterlog(k: int, x: mp.mpf) -> mp.mpf:
+    v = x
+    for i in range(k):
+        if v <= 0:  # mp.ln would return a complex, where iterlog.iterlog raises
+            raise DomainError(f"iterlog({k}, {x}): intermediate {v} at depth {i} is not positive")
+        v = mp.ln(v)
+    return v
+
+
+# The expression operations over mpmath numbers, at mpmath's working precision.
+_MP_OPS = {**_FLOAT_OPS, "^": mp.power, "ln": mp.ln, "exp": mp.exp, "iterlog": _mp_iterlog}
+
+
 @dataclass(frozen=True)
 class SeriesFamily(_Family):
     expression: str
     ratio_spec: RatioSpec
-    hp_term: Callable[[int], mp.mpf]
+
+    @cached_property  # built on first use: only the high-precision checks call it
+    def hp_term(self) -> Callable[[int], mp.mpf]:
+        """The term a_n at mpmath's working precision: ``expression`` over ``_MP_OPS``."""
+        term = _compile(parse_expression(self.expression).ast, _MP_OPS)
+        return lambda n: term(mp.mpf(n))
 
 
 def _term_ratio(term: Callable[[float], float]) -> Callable[[int], float]:
@@ -90,24 +110,12 @@ def _log_scale(name: str, depth: int, params: dict[str, float]) -> SeriesFamily:
             total += w * u
         return math.expm1(total)
 
-    def hp_term(n: int) -> mp.mpf:
-        d = v = mp.mpf(n)
-        if depth < 0:
-            return v ** -mp.mpf(repr(r))
-        for _ in range(depth):
-            v = mp.ln(v)
-            d *= v
-        return 1 / (d * mp.ln(v) ** mp.mpf(repr(r)))
-
     return SeriesFamily(
-        name=name,
-        params=params,
-        expression=expression,
+        name=name, params=params, expression=expression,
         ratio_spec=RatioSpec(
             ratio=_term_ratio(parse_expression(expression)), delta=delta,
             first_index=1 if depth < 0 else min_domain(depth + 1),
         ),
-        hp_term=hp_term,
     )
 
 
@@ -132,23 +140,10 @@ def geometric(x: float) -> SeriesFamily:
     x = float(x)
     if not (math.isfinite(x) and x > 0):
         raise ValueError("x must be finite and positive")
-    expression = f"{x!r}^n"
-
-    def ratio(n: int) -> float:
-        return 1.0 / x
-
-    def delta(n: int) -> float:
-        return (1.0 - x) / x
-
-    def hp_term(n: int) -> mp.mpf:
-        return mp.mpf(repr(x)) ** n
-
     return SeriesFamily(
-        name="geometric",
-        params={"x": x},
-        expression=expression,
-        ratio_spec=RatioSpec(ratio=ratio, delta=delta, first_index=1),
-        hp_term=hp_term,
+        name="geometric", params={"x": x}, expression=f"{x!r}^n",
+        ratio_spec=RatioSpec(ratio=lambda n: 1.0 / x, delta=lambda n: (1.0 - x) / x,
+                             first_index=1),
     )
 
 

@@ -128,6 +128,17 @@ class TestClassifySeries:
                                  "--first-index", first)
             assert code == 1 and "--first-index" in err and out == ""
 
+    def test_first_index_must_be_an_integer(self, capsys):
+        code, out, err = run(capsys, "classify-series", "--a-n", "1/n^2", "--first-index", "abc")
+        assert (code, out) == (1, "")
+        assert err == "error: argument --first-index: not an integer: 'abc'\n"
+
+    def test_expression_positive_nowhere_exits_one(self, capsys):
+        code, out, err = run(capsys, "classify-series", "--a-n", "0-1")
+        assert (code, out) == (1, "")
+        assert err == ("error: could not find an index n <= 10000 where '0-1' is positive; "
+                       "pass --first-index explicitly\n")
+
     def test_explicit_first_index_is_echoed(self, capsys):
         code, doc = run_json(capsys, "classify-series", "--a-n", "1/n^2",
                              "--first-index", "5", "--no-timing")
@@ -374,6 +385,12 @@ class TestEvalIterlog:
         code, out, err = run(capsys, "eval-iterlog", "--K", "1", f"--x={x}", "--what", what)
         assert code == 1 and out == ""
         assert err.startswith("error: this evaluation needs a finite index")
+
+    def test_non_integer_index_exits_one(self, capsys):
+        code, out, err = run(capsys, "eval-iterlog", "--K", "2", "--what", "product",
+                             "--x", "100.5")
+        assert (code, out) == (1, "")
+        assert err == "error: this evaluation needs an integer index, got 100.5\n"
 
     def test_min_domain_rejects_x(self, capsys):
         code, out, err = run(capsys, "eval-iterlog", "--K", "4", "--what", "min-domain",

@@ -486,6 +486,16 @@ class TestAdaptive:
         with pytest.raises(ValueError, match=field):
             ClassifyConfig(**{field: value})
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"k_start": 0}, "need 1 <= k_start <= k_max, got 0..4"),
+        ({"k_start": 3, "k_max": 2}, "need 1 <= k_start <= k_max, got 3..2"),
+        ({"k_max": 5}, "k_max 5 exceeds numeric cap 4"),
+        ({"samples": 3}, "need at least 4 samples"),
+    ], ids=repr)
+    def test_config_rejects_depths_and_too_few_samples(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ClassifyConfig(**kwargs)
+
     @pytest.mark.parametrize("field,value", [
         ("k_start", 1.5), ("k_start", True), ("k_max", 3.0), ("window_lo", 100.5),
         ("window_hi", 1e7), ("samples", 10.0), ("samples", False), ("samples", "64"),
@@ -916,6 +926,19 @@ class TestSampleGrid:
         for _ in range(2):
             with pytest.raises(InvalidWindow):
                 sample_grid(10, 10, 8)
+
+    @pytest.mark.parametrize("args,error,message", [
+        ((100.5, 1000, 8), ValueError, "window end must be an integer, got 100.5"),
+        ((1, 1e3, 8), ValueError, "window end must be an integer, got 1000.0"),
+        ((True, 100, 8), ValueError, "window end must be an integer, got True"),
+        ((1, 100, 2.5), ValueError, "count must be an integer, got 2.5"),
+        ((0, 100, 8), InvalidWindow, "window [0, 100] starts below index 1"),
+        ((-5, 100, 8), InvalidWindow, "window [-5, 100] starts below index 1"),
+    ], ids=repr)
+    def test_window_ends_and_count_checked(self, args, error, message):
+        for support in (None, (2, 3, 4)):
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                sample_grid(*args, support=support)
 
     @pytest.mark.parametrize("count", [0, 1])
     def test_fewer_than_two_samples_rejected(self, count):

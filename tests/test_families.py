@@ -3,6 +3,7 @@
 import math
 import re
 
+import mpmath as mp
 import numpy
 import pytest
 from hypothesis import given, settings
@@ -17,10 +18,12 @@ from demorgan.convergence import (
     extract_sn,
     sample_grid,
 )
-from demorgan.errors import DomainError
-from demorgan.expr import parse_expression
+from demorgan.errors import DomainError, EvalError
+from demorgan.expr import _compile, parse_expression
 from demorgan.families import (
+    _MP_OPS,
     ACCEPTANCE_CATALOG,
+    SERIES_FACTORIES,
     alpha_const,
     alpha_threshold,
     bd_iterlog,
@@ -58,6 +61,17 @@ class TestCatalogTruth:
         with pytest.raises(ValueError):
             iterlog_power(4, 1.0)  # depth+1 would exceed the numeric cap
 
+    @pytest.mark.parametrize("make,args,message", [
+        (p_series, (math.inf,), "p must be finite"),
+        (log_power, (math.nan,), "r must be finite"),
+        (bd_power, (-1.0,), "c must be finite and non-negative"),
+        (bd_iterlog, (2, math.nan), "c must be finite and non-negative"),
+        (alpha_threshold, (1, -0.5), "c must be finite and non-negative"),
+    ], ids=repr)
+    def test_non_finite_or_negative_parameter_rejected(self, make, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make(*args)
+
 
 class TestDeltaConsistency:
     @given(
@@ -93,12 +107,39 @@ class TestDeltaConsistency:
     @given(u=st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=100)
     def test_hp_term_matches_float_scale(self, u):
-        fam = log_power(2.0)
-        n = int(round(2 * (10**6 / 2) ** u))
-        n = max(n, 2)
-        f = parse_expression(fam.expression)
-        assert math.isclose(f(n), float(fam.hp_term(n)), rel_tol=1e-12)
+        # Every series factory's mpmath term agrees with its float expression
+        # in the family's domain, from twice its first index: at the first
+        # index of iterlog-power K=3, ln_4(n) = 5.7e-9 and the float term
+        # keeps only 8 digits.
+        assert {name for name, _ in HP_CASES} == set(SERIES_FACTORIES)
+        for name, params in HP_CASES:
+            fam = make_series_family(name, **params)
+            lo = 2 * fam.ratio_spec.first_index
+            hi = 700 if name == "geometric" else 10**7
+            n = min(max(int(round(lo * (hi / lo) ** u)), lo), hi)
+            with mp.workdps(30):
+                hp = float(fam.hp_term(n))
+            f = parse_expression(fam.expression)
+            assert math.isclose(f(n), hp, rel_tol=1e-12), (name, params, n)
 
+    @pytest.mark.parametrize("text,n", [
+        ("iterlog(4, n)", 5),  # ln_3(5) < 0 is an intermediate; mpmath's ln goes complex
+        ("iterlog(2, n)", 1),  # ln(1) = 0 is an intermediate
+        (iterlog_power(3, 1.1).expression, 10**4),  # the factor ln_4(10^4) < 0
+    ])
+    def test_mp_terms_raise_where_float_terms_do(self, text, n):
+        with pytest.raises(EvalError, match="not positive"):
+            parse_expression(text)(n)
+        with pytest.raises(EvalError, match="not positive"):
+            _compile(parse_expression(text).ast, _MP_OPS)(mp.mpf(n))
+
+    def test_hp_term_below_the_first_index_raises(self):
+        with pytest.raises(EvalError, match="not positive"):
+            iterlog_power(3, 1.1).hp_term(10**4)
+
+
+# Every series factory, at each depth iterlog-power takes.
+HP_CASES = ACCEPTANCE_CATALOG + (("iterlog-power", {"K": 3, "r": 1.1}),)
 
 # The parameter grids the benchmark draws from (bench/workloads.py).
 SERIES_GRID = [round(0.3 + 0.005 * i, 6) for i in range(141)] + [

@@ -17,13 +17,22 @@ drawn series, so it is transient iff the series converges.  Its rate ratio
 takes the raw-ratio route and its cancellation monitor, which the series
 audit's exact delta never reaches.
 
-The draws are fixed: ``random.Random(SEED)``, ``COUNT`` of them.
-``tests/generated_verdicts.json`` (series) and
-``tests/generated_chain_verdicts.json`` (chains) hold the keys, the ``repr``
-of each exponent vector, that are wrong today, under the ratchet of
+The walk audit draws its own (K, c, b): K uniform in 1..3, c = 1 +- 10^U(-3, 0)
+and b = U(-0.5, 0.5), for the reflected walk with drift
+alpha(n) = (1/4)(1 + sum_{k<K} 1/prod_k(n) + c/prod_K(n)) + b/sqrt(n), where
+prod_k = ln(n) * ... * ln_(k)(n), under ``DriftSpec(C=1.0)``.  Its rate
+ratio lambda/mu - 1 = 4 alpha/n + O(n^-2) is the depth-K shape of
+bd-iterlog plus 4b n^(-3/2), a summable term, so the walk is transient iff
+c > 1.  On the sampled window n >= 100, alpha stays in [0.2, 0.56].
+
+The draws are fixed: ``random.Random(SEED)``, ``COUNT`` of them per audit.
+``tests/generated_verdicts.json`` (series),
+``tests/generated_chain_verdicts.json`` (chains) and
+``tests/generated_walk_verdicts.json`` (walks) hold the keys, the ``repr``
+of each draw, that are wrong today, under the ratchet of
 ``tests/ratchet.py``: any other wrong key fails, and so does a stored key
 that is mended.  Run ``PYTHONPATH=src python tests/test_generated_verdicts.py``
-to drop the mended keys from both files; it never adds one.
+to drop the mended keys from all three files; it never adds one.
 """
 
 import math
@@ -38,10 +47,12 @@ import ratchet
 from demorgan.birthdeath import BirthDeathRates, bdp_classify
 from demorgan.convergence import RatioSpec, adaptive_classify
 from demorgan.iterlog import min_domain
+from demorgan.walk import DriftSpec, rw_classify
 
 SEED, COUNT = 1, 2000
 WRONG_PATH = Path(__file__).with_name("generated_verdicts.json")
 CHAIN_WRONG_PATH = Path(__file__).with_name("generated_chain_verdicts.json")
+WALK_WRONG_PATH = Path(__file__).with_name("generated_walk_verdicts.json")
 
 
 def draw(rng: random.Random) -> tuple[float, ...]:
@@ -91,25 +102,51 @@ def chain_decision(p: tuple[float, ...]) -> str:
     return bdp_classify(rates).decision.value
 
 
-# kind: (decision(p), truth(p), stored wrong keys)
+def walk_draw(rng: random.Random) -> tuple[int, float, float]:
+    """One walk (K, c, b)."""
+    K = rng.randint(1, 3)
+    c = 1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 0.0)
+    return K, c, rng.uniform(-0.5, 0.5)
+
+
+def walk_fate(walk: tuple[int, float, float]) -> str:
+    return "transient" if walk[1] > 1.0 else "recurrent"
+
+
+def walk_decision(walk: tuple[int, float, float]) -> str:
+    K, c, b = walk
+    weights = (1.0,) * (K - 1) + (c,)
+
+    def alpha(n: int) -> float:
+        value, v, prod = 1.0, float(n), 1.0
+        for w in weights:
+            v = math.log(v)
+            prod *= v
+            value += w / prod
+        return 0.25 * value + b / math.sqrt(n)
+    return rw_classify(DriftSpec(alpha=alpha, C=1.0)).decision.value
+
+
+# kind: (draw(rng), decision(draw), truth(draw), stored wrong keys)
 AUDITS = {
-    "series": (series_decision, truth, WRONG_PATH),
-    "chain": (chain_decision, fate, CHAIN_WRONG_PATH),
+    "series": (draw, series_decision, truth, WRONG_PATH),
+    "chain": (draw, chain_decision, fate, CHAIN_WRONG_PATH),
+    "walk": (walk_draw, walk_decision, walk_fate, WALK_WRONG_PATH),
 }
 
 
 def audit(kind: str = "series", seed: int = SEED, count: int = COUNT) -> tuple[set[str], int]:
     """(wrong keys, inconclusive count) of one kind over the draws of ``seed``."""
-    decide, right, _ = AUDITS[kind]
+    make, decide, right, _ = AUDITS[kind]
     rng = random.Random(seed)
     wrong, inconclusive = set(), 0
     for _ in range(count):
-        p = draw(rng)
-        decision = decide(p)
+        x = make(rng)
+        decision = decide(x)
         if decision == "inconclusive":
             inconclusive += 1
-        elif decision != right(p):
-            wrong.add(repr(p))
+        elif decision != right(x):
+            wrong.add(repr(x))
     return wrong, inconclusive
 
 
@@ -143,8 +180,14 @@ def test_no_new_wrong_generated_chain_verdict():
     ratchet.check(wrong, CHAIN_WRONG_PATH)
 
 
+def test_no_new_wrong_generated_walk_verdict():
+    wrong, inconclusive = audit("walk")
+    print(f"{COUNT} generated walks: {len(wrong)} wrong, {inconclusive} inconclusive")
+    ratchet.check(wrong, WALK_WRONG_PATH)
+
+
 if __name__ == "__main__":
-    for kind, (_, _, path) in AUDITS.items():
+    for kind, (*_, path) in AUDITS.items():
         wrong, inconclusive = audit(kind)
         kept = ratchet.prune(wrong, path)
         print(f"{COUNT} generated {kind} verdicts: {len(wrong)} wrong, "
