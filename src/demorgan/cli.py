@@ -130,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     srcb.add_argument("--lambda", metavar="EXPR", help="birth rate expression")
     srcb.add_argument("--mu", metavar="EXPR", help="death rate expression")
     srcb.add_argument("--first-index", type=_first_index,
-                      help="first index at which expression rates are valid (default 1)")
+                      help="first index at which expression rates are valid (default: probed)")
     _add_classify_flags(pb)
     _add_output_flags(pb)
 
@@ -248,10 +248,10 @@ def _rates_source(args: argparse.Namespace) -> tuple[BirthDeathRates, dict[str, 
     lam = getattr(args, "lambda")
     if lam is None or args.mu is None:
         raise _UsageError("expression rates need both --lambda and --mu")
-    first = args.first_index or 1  # the parser rejects indices below 1
-    rates = BirthDeathRates(
-        lam=parse_expression(lam), mu=parse_expression(args.mu), first_index=first,
-    )
+    birth, death = parse_expression(lam), parse_expression(args.mu)
+    first = args.first_index or _probe_first_index(
+        lambda n: min(birth(n), death(n)), f"min({lam}, {args.mu})")
+    rates = BirthDeathRates(lam=birth, mu=death, first_index=first)
     return rates, {"kind": "expression", "lambda": lam, "mu": args.mu,
                    "first_index": first}
 

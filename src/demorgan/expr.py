@@ -136,8 +136,9 @@ class _Parser:
             except ValueError:  # more digits than int() converts
                 k = math.inf
             if not 1 <= k <= K_MAX_NUMERIC:
+                shown = text if len(text) <= 12 else f"{text[:6]}... ({len(text)} digits)"
                 raise ExpressionSyntaxError(
-                    f"iterlog depth {k} out of range", pos,
+                    f"iterlog depth {shown} out of range", pos,
                     expected=f"integer between 1 and {K_MAX_NUMERIC}",
                 )
             self.expect("comma", "',' between iterlog arguments")

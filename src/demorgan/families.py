@@ -17,7 +17,9 @@ Series catalog:
 Birth-death rate families perturb lambda/mu around 1 with the boundary
 shape of the depth-K test: bd-iterlog at depth K, bd-log at depth 1 and
 bd-power, lambda/mu = 1 + c/n, at depth 0.  Walk families supply the
-position-dependent drift alpha.
+position-dependent drift alpha; alpha-threshold's is the same shape.  The
+log-scale series share one delta, ``_log_monomial_delta``, and the rate and
+drift families one boundary sum, ``_boundary_shape``.
 """
 
 from __future__ import annotations
@@ -84,6 +86,23 @@ def _check_depth(depth: object, top: int) -> None:
         raise ValueError(f"depth must be an integer in 1..{top}, got {depth!r}")
 
 
+def _log_monomial_delta(weights: tuple[float, ...]) -> Callable[[int], float]:
+    """delta(n) = a_n/a_(n+1) - 1 of a_n = prod_k ln_(k)(n)^-w_k, ln_(0)(n) = n: the log chain
+    telescopes to expm1(sum_k w_k D_k(n)), free of cancellation, with D_0 = log1p(1/n) and
+    D_k = log1p(D_(k-1) / ln_(k)(n))."""
+    first, *rest = weights
+
+    def delta(n: int) -> float:
+        u = math.log1p(1.0 / n)
+        total, v = first * u, n
+        for w in rest:
+            v = math.log(v)
+            u = math.log1p(u / v)
+            total += w * u
+        return math.expm1(total)
+    return delta
+
+
 def _log_scale(name: str, depth: int, params: dict[str, float]) -> SeriesFamily:
     """1/(n * ln(n) * ... * ln_(depth)(n) * ln_(depth+1)(n)^r), where ln_(0)(n) = n.
 
@@ -96,24 +115,11 @@ def _log_scale(name: str, depth: int, params: dict[str, float]) -> SeriesFamily:
     factors = ["n", "ln(n)"] + [f"iterlog({k},n)" for k in range(2, depth + 2)]
     body = "*".join(factors[:depth + 1] + [f"{factors[depth + 1]}^{r!r}"])
     expression = f"1/({body})" if depth >= 0 else f"1/{body}"
-    first, *rest = (1.0,) * (depth + 1) + (r,)
-
-    def delta(n: int) -> float:
-        # ln(ratio) telescopes through the log chain: with u_1 = log1p(1/n)
-        # and u_{k+1} = log1p(u_k / ln_(k)(n)), the factor ln_(k)(n) adds
-        # u_{k+1}, and the power factor r * u_{depth+2}.
-        u = math.log1p(1.0 / n)
-        total, v = first * u, n
-        for w in rest:
-            v = math.log(v)
-            u = math.log1p(u / v)
-            total += w * u
-        return math.expm1(total)
-
     return SeriesFamily(
         name=name, params=params, expression=expression,
         ratio_spec=RatioSpec(
-            ratio=_term_ratio(parse_expression(expression)), delta=delta,
+            ratio=_term_ratio(parse_expression(expression)),
+            delta=_log_monomial_delta((1.0,) * (depth + 1) + (r,)),
             first_index=1 if depth < 0 else min_domain(depth + 1),
         ),
     )
@@ -201,36 +207,37 @@ class RateFamily(_Family):
     rates: BirthDeathRates
 
 
-def _boundary_rates(name: str, depth: int, params: dict[str, float]) -> RateFamily:
-    """lambda/mu = 1 + sum_{k<=depth} w_k/(n prod_k), with w = (1, ..., 1, c),
-    prod_k = ln(n) * ... * ln_(k)(n) and prod_0 = 1.
-
-    The boundary shape of the depth-``depth`` test with the deepest term
-    weighted by c; transient iff c > 1.  Depth 0 is lambda/mu = 1 + c/n.
-    """
-    c = params["c"]
+def _boundary_shape(depth: int, c: float) -> Callable[[float, float], float]:
+    """shape(x, scale) = sum_{k<=depth} w_k/(scale * prod_k(x)), w = (1, ..., 1, c), prod_0 = 1
+    and prod_k = ln(x) * ... * ln_(k)(x): the boundary shape of the depth-``depth`` test with
+    its deepest term weighted by c, transient iff c > 1."""
     if not (math.isfinite(c) and c >= 0):
         raise ValueError("c must be finite and non-negative")
-    first = min_domain(depth) if depth else 1
     w0, *rest = (1.0,) * depth + (c,)
+
+    def shape(x: float, scale: float) -> float:
+        # One pass down the log chain; prod is ln(x) * ... * ln_(k)(x).
+        total, v, prod = w0 / scale, x, 1.0
+        for w in rest:
+            v = math.log(v)
+            prod *= v
+            total += w / (scale * prod)
+        return total
+    return shape
+
+
+def _boundary_rates(name: str, depth: int, params: dict[str, float]) -> RateFamily:
+    """lambda/mu = 1 + ``_boundary_shape(depth, c)`` at x = scale = n; depth 0 is 1 + c/n."""
+    shape = _boundary_shape(depth, params["c"])
+    first = min_domain(depth) if depth else 1
 
     def delta(n: int) -> float:
         if n < first:
             raise DomainError(f"{name}: index {n} below min_domain({depth}) = {first}")
-        # One pass down the log chain; prod is ln(n) * ... * ln_(k)(n).
-        total, v, prod = w0 / n, n, 1.0
-        for w in rest:
-            v = math.log(v)
-            prod *= v
-            total += w / (n * prod)
-        return total
+        return shape(n, n)
 
-    rates = BirthDeathRates(
-        lam=lambda n: 1.0 + delta(n),
-        mu=lambda n: 1.0,
-        first_index=first,
-        ratio_delta=delta,
-    )
+    rates = BirthDeathRates(lam=lambda n: 1.0 + delta(n), mu=lambda n: 1.0,
+                            first_index=first, ratio_delta=delta)
     return RateFamily(name=name, params=params, rates=rates)
 
 
@@ -295,22 +302,13 @@ def alpha_threshold(K: int, c: float) -> WalkFamily:
     """
     _check_depth(K, K_MAX_NUMERIC - 1)
     c = float(c)
-    if not (math.isfinite(c) and c >= 0):
-        raise ValueError("c must be finite and non-negative")
-    cap = 1.0
-    floor_index = min_domain(K + 1)
-    weights = (1.0,) * (K - 1) + (c,)
+    shape = _boundary_shape(K, c)
+    cap, floor_index = 1.0, min_domain(K + 1)
 
     def alpha(n: int) -> float:
         m = max(n, floor_index)
         _check_index(m)
-        value, v, prod = 1.0, float(m), 1.0
-        for w in weights:
-            v = math.log(v)
-            prod *= v
-            value += w / prod
-        value *= 0.25
-        return min(value, 0.999 * min(cap, 0.5 * n))
+        return min(0.25 * shape(float(m), 1.0), 0.999 * min(cap, 0.5 * n))
 
     return WalkFamily(name="alpha-threshold", params={"K": K, "c": c},
                       drift=DriftSpec(alpha=alpha, C=cap))

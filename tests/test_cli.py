@@ -215,6 +215,20 @@ class TestClassifyBdp:
         assert code == 0
         assert doc["result"]["decision"] == "recurrent"
 
+    @pytest.mark.parametrize("lam,mu", [("1", "0"), ("0-1", "1")])
+    def test_rates_positive_nowhere_exit_one(self, capsys, lam, mu):
+        code, out, err = run(capsys, "classify-bdp", "--lambda", lam, "--mu", mu)
+        assert (code, out) == (1, "")
+        assert err == (f"error: could not find an index n <= 10000 where 'min({lam}, {mu})' "
+                       "is positive; pass --first-index explicitly\n")
+
+    def test_rates_first_index_is_probed(self, capsys):
+        # lambda(n) = n - 3 is first positive at n = 4; an explicit index is kept.
+        for extra, first in [((), 4), (("--first-index", "2"), 2)]:
+            code, doc = run_json(capsys, "classify-bdp", "--lambda", "n-3", "--mu", "1",
+                                 "--no-timing", *extra)
+            assert code == 0 and doc["input"]["source"]["first_index"] == first
+
     def test_needs_both_rate_expressions(self, capsys):
         code, out, err = run(capsys, "classify-bdp", "--lambda", "1")
         assert code == 1 and "--mu" in err

@@ -545,6 +545,15 @@ class TestAdaptiveExits:
         assert [r.guard.passed for r in v.trace] == [False, False]
         assert all(r.escalated == "next-level growth check failed" for r in v.trace)
 
+    def test_guard_skipped_on_a_flat_next_level_span(self):
+        # ln_2(n) moves by less than 1e-9 across [2^53 - 2000, 2^53 - 1]: the
+        # guard has no span to judge growth over, so the depth-1 verdict stands.
+        lo, hi = 2**53 - 2000, 2**53 - 1
+        assert 0 <= math.log(math.log(hi)) - math.log(math.log(lo)) <= 1e-9
+        v = adaptive_classify(p_series(2.0).ratio_spec, ClassifyConfig(window_lo=lo, window_hi=hi))
+        assert (v.decision, v.level) == (Decision.CONVERGES, 1)
+        assert [(r.level, r.guard) for r in v.trace] == [(1, None)]
+
     def test_next_depth_without_a_window(self):
         v = adaptive_classify(iterlog_power(2, 1.0).ratio_spec,
                               ClassifyConfig(window_hi=1_000_000))

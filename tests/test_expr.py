@@ -88,6 +88,7 @@ class TestParseErrors:
         ("iterlog(n,n)", 8),
         ("1 2", 2),
         ("", 0),
+        (5, 0),  # not a string
     ])
     def test_position_reported(self, text, pos):
         with pytest.raises(ExpressionSyntaxError) as exc:
@@ -135,6 +136,18 @@ class TestParseErrors:
         assert parse_expression("iterlog(٣,n)").ast == ("call", "iterlog", 3, ("n",))
         with pytest.raises(ExpressionSyntaxError):
             parse_expression("²")
+
+    @pytest.mark.parametrize("depth,shown", [
+        ("9", "9"), ("0", "0"), ("000000000005", "000000000005"),
+        ("1234567890123", "123456... (13 digits)"),
+        pytest.param("9" * 5000, "999999... (5000 digits)", id="5000-digits"),
+    ])
+    def test_out_of_range_iterlog_depth_named_as_typed(self, depth, shown):
+        # 5000 digits are more than int() converts; the message still names the literal.
+        with pytest.raises(ExpressionSyntaxError) as exc:
+            parse_expression(f"iterlog({depth}, n)")
+        assert str(exc.value) == (f"iterlog depth {shown} out of range at position 8 "
+                                  "(expected integer between 1 and 4)")
 
     def test_missing_iterlog_comma(self):
         with pytest.raises(ExpressionSyntaxError):

@@ -1,6 +1,7 @@
 """Catalog families: closed-form truth, delta consistency, expression agreement."""
 
 import math
+import random
 import re
 
 import mpmath as mp
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 
 from demorgan.birthdeath import Fate, bdp_classify, recurrence_ratio
 from demorgan.convergence import (
+    DEFAULT_WINDOW_FLOOR,
+    DEFAULT_WINDOW_HI,
     ClassifyConfig,
     Decision,
     adaptive_classify,
@@ -24,6 +27,7 @@ from demorgan.families import (
     _MP_OPS,
     ACCEPTANCE_CATALOG,
     SERIES_FACTORIES,
+    _boundary_shape,
     alpha_const,
     alpha_threshold,
     bd_iterlog,
@@ -40,6 +44,8 @@ from demorgan.iterlog import INDEX_LIMIT, iterlog_product, min_domain
 from demorgan.convergence import RatioSpec
 from demorgan.walk import rw_classify
 from oracle import catalog_truth
+from oracle import iterlog_product as hp_iterlog_product
+from test_generated_verdicts import COUNT, SEED, walk_draw
 
 
 class TestCatalogTruth:
@@ -347,6 +353,20 @@ class TestWalkFamilies:
             with pytest.raises(DomainError):
                 alpha(n)
 
+
+def test_boundary_shape_matches_mpmath():
+    # The walk audit's (K, c) draws at the ends of the default window, at
+    # scale 1 (the drift's shape) and at scale n (the rates'), against 60 digits.
+    rng = random.Random(SEED)
+    with mp.workdps(60):
+        for _ in range(COUNT):
+            K, c, _ = walk_draw(rng)
+            shape, weights = _boundary_shape(K, c), (1.0,) * (K - 1) + (c,)
+            for n in (DEFAULT_WINDOW_FLOOR, DEFAULT_WINDOW_HI):
+                exact = 1 + sum(w / hp_iterlog_product(k, n, 60)
+                                for k, w in enumerate(weights, 1))
+                for scale in (1.0, n):
+                    assert abs(shape(n, scale) / (exact / scale) - 1) <= 1e-15, (K, c, n, scale)
 
 
 def _decision(fam, config):

@@ -6,9 +6,8 @@ converges iff it exceeds 1 (Hardy, *Orders of Infinity*, 1910; Knopp,
 ch. IX).  The deciding level j is uniform in 0..3, p_i = 1 for i < j,
 p_j = 1 +- 10^U(-3, 0), and the later exponents are U(-2, 2) up to a depth
 d uniform in j..3.  The series starts at max(3, min_domain(d + 1)).  Its
-delta a_n/a_{n+1} - 1 = expm1(sum_k p_k * D_k(n)), with D_0 = log1p(1/n)
-and D_k = log1p(D_(k-1) / ln_k(n)), is free of cancellation; it is pinned
-against 60-digit mpmath below.
+delta a_n/a_{n+1} - 1 is the catalog's own, ``_log_monomial_delta(p)``,
+pinned against 60-digit mpmath below.
 
 The same draws are also fed to ``bdp_classify`` as a birth-death chain
 with raw rates lambda_n = 1 + delta(n - 1) and mu_n = 1, from the same first
@@ -20,10 +19,11 @@ audit's exact delta never reaches.
 The walk audit draws its own (K, c, b): K uniform in 1..3, c = 1 +- 10^U(-3, 0)
 and b = U(-0.5, 0.5), for the reflected walk with drift
 alpha(n) = (1/4)(1 + sum_{k<K} 1/prod_k(n) + c/prod_K(n)) + b/sqrt(n), where
-prod_k = ln(n) * ... * ln_(k)(n), under ``DriftSpec(C=1.0)``.  Its rate
-ratio lambda/mu - 1 = 4 alpha/n + O(n^-2) is the depth-K shape of
-bd-iterlog plus 4b n^(-3/2), a summable term, so the walk is transient iff
-c > 1.  On the sampled window n >= 100, alpha stays in [0.2, 0.56].
+prod_k = ln(n) * ... * ln_(k)(n), under ``DriftSpec(C=1.0)``: the sum is the
+catalog's ``_boundary_shape(K, c)`` at scale 1.  Its rate ratio
+lambda/mu - 1 = 4 alpha/n + O(n^-2) is the depth-K shape of bd-iterlog plus
+4b n^(-3/2), a summable term, so the walk is transient iff c > 1.  On the
+sampled window n >= 100, alpha stays in [0.2, 0.56].
 
 The draws are fixed: ``random.Random(SEED)``, ``COUNT`` of them per audit.
 ``tests/generated_verdicts.json`` (series),
@@ -46,6 +46,7 @@ import oracle as hp
 import ratchet
 from demorgan.birthdeath import BirthDeathRates, bdp_classify
 from demorgan.convergence import RatioSpec, adaptive_classify
+from demorgan.families import _boundary_shape, _log_monomial_delta
 from demorgan.iterlog import min_domain
 from demorgan.walk import DriftSpec, rw_classify
 
@@ -73,30 +74,18 @@ def fate(p: tuple[float, ...]) -> str:
     return "transient" if truth(p) == "converges" else "recurrent"
 
 
-def delta_of(p: tuple[float, ...]):
-    def delta(n: int) -> float:
-        d = math.log1p(1.0 / n)
-        total, v = p[0] * d, n
-        for p_k in p[1:]:
-            v = math.log(v)
-            d = math.log1p(d / v)
-            total += p_k * d
-        return math.expm1(total)
-    return delta
-
-
 def first_index(p: tuple[float, ...]) -> int:
     return max(3, min_domain(len(p)))
 
 
 def series_decision(p: tuple[float, ...]) -> str:
-    delta = delta_of(p)
+    delta = _log_monomial_delta(p)
     spec = RatioSpec(ratio=lambda n: 1.0 + delta(n), delta=delta, first_index=first_index(p))
     return adaptive_classify(spec).decision.value
 
 
 def chain_decision(p: tuple[float, ...]) -> str:
-    delta = delta_of(p)
+    delta = _log_monomial_delta(p)
     rates = BirthDeathRates(lam=lambda n: 1.0 + delta(n - 1), mu=lambda n: 1.0,
                             first_index=first_index(p))
     return bdp_classify(rates).decision.value
@@ -115,16 +104,9 @@ def walk_fate(walk: tuple[int, float, float]) -> str:
 
 def walk_decision(walk: tuple[int, float, float]) -> str:
     K, c, b = walk
-    weights = (1.0,) * (K - 1) + (c,)
-
-    def alpha(n: int) -> float:
-        value, v, prod = 1.0, float(n), 1.0
-        for w in weights:
-            v = math.log(v)
-            prod *= v
-            value += w / prod
-        return 0.25 * value + b / math.sqrt(n)
-    return rw_classify(DriftSpec(alpha=alpha, C=1.0)).decision.value
+    shape = _boundary_shape(K, c)
+    drift = DriftSpec(alpha=lambda n: 0.25 * shape(n, 1.0) + b / math.sqrt(n), C=1.0)
+    return rw_classify(drift).decision.value
 
 
 # kind: (draw(rng), decision(draw), truth(draw), stored wrong keys)
@@ -165,7 +147,7 @@ def exact_delta(p: tuple[float, ...], n: int, dps: int = 60) -> mp.mpf:
 def test_delta_matches_mpmath(p, n):
     with mp.workdps(60):
         exact = exact_delta(p, n)
-        assert abs((delta_of(p)(n) - exact) / exact) <= 1e-15
+        assert abs((_log_monomial_delta(p)(n) - exact) / exact) <= 1e-15
 
 
 def test_no_new_wrong_generated_verdict():

@@ -53,6 +53,9 @@ class TestIterlog:
             iterlog(0, 10.0)
         with pytest.raises(UnsupportedLevel):
             iterlog(K_MAX_NUMERIC + 1, 10.0)
+        for level in (2.0, True):
+            with pytest.raises(DomainError, match=f"^level must be an integer, got {level!r}$"):
+                iterlog(level, 10.0)
 
     def test_rejects_huge_integer_argument(self):
         with pytest.raises(DomainError):

@@ -3,7 +3,7 @@
 import json
 from dataclasses import asdict
 
-from demorgan.convergence import adaptive_classify, extended_bdm_test
+from demorgan.convergence import ClassifyConfig, adaptive_classify, extended_bdm_test
 from demorgan.families import log_power, alpha_const, p_series
 from demorgan.report import Report, verdict_to_dict
 from demorgan.walk import simulate
@@ -49,6 +49,16 @@ def test_reports_identical_modulo_timing():
     a.timing_ms = b.timing_ms = None
     assert a.to_json() == b.to_json()
     assert "timing_ms" not in a.to_dict()
+
+
+def test_text_report_prints_the_note():
+    v = adaptive_classify(log_power(1.0).ratio_spec, ClassifyConfig(k_max=1))
+    lines = Report("series", {}, verdict_to_dict(v)).to_text().splitlines()
+    assert "note: stopped at depth 1 (tail hovers near the critical value, no depth left)" in lines
+    quiet = adaptive_classify(p_series(2.0).ratio_spec)
+    assert quiet.note == ""
+    assert not any(line.startswith("note:") for line in
+                   Report("series", {}, verdict_to_dict(quiet)).to_text().splitlines())
 
 
 def test_simulation_document():

@@ -649,6 +649,23 @@ class TestKernelLoader:
         assert simulate_reference(spec, seed=8, horizon=30, n_paths=3).n_paths == 3
 
     @needs_cc
+    def test_rejected_source_raises_with_the_compiler_output(self, caches):
+        # Both cache directories try and fail; no library or temporary file is left.
+        match = (r"^simulate needs a C compiler: cc could not build the walk kernel "
+                 r"\(cc exited with \d+: .*error")
+        with pytest.raises(OSError, match=match):
+            walk._build_kernel("this is not C;\n")
+        assert [list(d.iterdir()) for d in caches] == [[], []]
+
+    def test_non_posix_system_raises_before_building(self, caches, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(walk.os, "name", "nt")
+            with pytest.raises(OSError, match="^simulate needs a C compiler: the walk kernel "
+                                              "is built on POSIX only$"):
+                walk._build_kernel(walk._KERNEL_SOURCE)
+        assert not any(d.exists() for d in caches)
+
+    @needs_cc
     def test_source_compiles_without_warnings(self, tmp_path):
         proc = subprocess.run(
             ["cc", *walk._KERNEL_FLAGS, "-Wall", "-Wextra", "-Werror",
