@@ -4,12 +4,13 @@ Grammar (EBNF, ``^`` right-associative):
 
     expr   := term (("+" | "-") term)*
     term   := factor (("*" | "/") factor)*
-    factor := base ("^" factor)?
+    factor := base ("^" factor)? | "-" factor
     base   := number | "n" | "(" expr ")" | func "(" args ")"
     func   := "ln" | "exp" | "iterlog"
 
 A number is a run of decimal digits with an optional fraction and exponent
-(``2``, ``0.5``, ``1e-3``).  ``iterlog`` takes a literal integer depth as its
+(``2``, ``0.5``, ``1e-3``).  Unary minus binds looser than ``^`` and tighter
+than ``*``: ``-n^2`` is -(n^2), ``2^-1`` is 0.5.  ``iterlog`` takes a literal integer depth as its
 first argument: ``iterlog(2, n)`` is ln(ln(n)).  In this language
 ``iterlog(k, x)`` is defined only where the result is strictly positive,
 since expressions feed series terms and weights that must stay positive;
@@ -17,17 +18,19 @@ evaluation outside that region raises :class:`~demorgan.errors.EvalError`.
 
 Every input either parses or raises :class:`ExpressionSyntaxError` with a
 position; nothing panics, including pathologically nested input or a chain
-of thousands of terms.  Parsing compiles the expression, once, into nested
-closures that bind their operations (``+ - * / ^``, ``ln``, ``exp``, ``iterlog``)
-from a table, ``_FLOAT_OPS``; over another table the AST runs in another number system.
+of thousands of terms.  On its first call an expression is compiled into one
+Python function of straight-line statements, generated from the shape of its
+AST and shared by every expression of that shape; ``^``, ``ln``, ``exp`` and
+``iterlog`` come from a table, ``_FLOAT_OPS``, and over another table the
+same code runs in another number system.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Union
 
 from .errors import DomainError, EvalError, ExpressionSyntaxError
@@ -60,7 +63,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return toks
 
 
-# AST nodes: ("num", float) | ("n",) | ("bin", op, lhs, rhs) | ("call", name, args...)
+# AST nodes: ("num", float) | ("n",) | ("neg", x) | ("bin", op, lhs, rhs) | ("call", name, args...)
 Node = Union[tuple]
 
 
@@ -112,6 +115,8 @@ class _Parser:
             raise ExpressionSyntaxError(
                 f"unknown name {text!r}", pos, expected="'n', 'ln', 'exp' or 'iterlog'"
             )
+        if text == "-" and kind == "op":  # factor := "-" factor
+            return ("neg", self.expr(_PRECEDENCE["^"], depth + 1))
         if kind == "lparen":
             node = self.expr(1, depth + 1)
             self.expect("rparen", "')'")
@@ -147,90 +152,125 @@ class _Parser:
         return node
 
 
-def _compile(node: Node, ops: dict[str, Callable]) -> Callable[[float], float]:
-    """Closures evaluating ``node`` at n over ``ops``, with every runtime check of the language.
+def _emit(node: Node, d: int, out: list[str], consts: list) -> str:
+    """Append to ``out`` the statements that compute ``node``; return its operand.
 
-    The left spine of binary operators, as in ``a + b - c / d``, is one
-    closure applying them in turn from the left, so its length costs no
-    recursion; operands nest only as deep as the parser allows.
+    A leaf is a name (``n``, or ``c<i>`` for the i-th number); any other node
+    leaves its value in ``v<d>``.  The left spine of binary operators, as in
+    ``a + b - c / d``, accumulates into one local; each right operand works in
+    the locals one level down, so the length of a chain adds no local.
     """
     kind = node[0]
     if kind == "num":
-        value = node[1]
-        return lambda n: value
+        consts.append(node[1])
+        return f"c{len(consts) - 1}"
     if kind == "n":
-        return lambda n: n
-    if kind == "bin":
-        steps = []
+        return "n"
+    v = f"v{d}"
+    if kind == "neg":
+        out.append(f"{v} = -{_emit(node[1], d, out, consts)}")
+    elif kind == "bin":
+        spine = []
         while node[0] == "bin":
-            steps.append((ops[node[1]], _compile(node[3], ops)))
+            spine.append(node)
             node = node[2]
-        first, steps = _compile(node, ops), steps[::-1]
-
-        def chain(n):
-            a = first(n)
-            for apply, rhs in steps:
-                b = rhs(n)
-                try:  # only "/" divides by zero, and only "^" leaves its range or domain
-                    a = apply(a, b)
-                except ZeroDivisionError:
-                    raise EvalError(f"division by zero at n={n}") from None
-                except OverflowError:
-                    raise EvalError(f"overflow evaluating '^' at n={n}") from None
-                except ValueError as exc:
-                    raise EvalError(f"domain error evaluating '^' at n={n}: {exc}") from None
-            return a
-        return chain
-    name, arg, op = node[1], _compile(node[-1], ops), ops[node[1]]
-    if name == "iterlog":
-        k = node[2]
-
-        def iterated_log(n):
-            x = arg(n)
-            try:
-                v = op(k, x)
-            except DomainError as exc:
-                raise EvalError(str(exc)) from None
-            if v <= 0.0:
-                raise EvalError(
-                    f"iterlog({k}, {x}) = {v} is not positive; outside this language's domain"
-                )
-            return v
-        return iterated_log
-    if name == "ln":
-        def ln(n):
-            x = arg(n)
-            if x <= 0.0:
-                raise EvalError(f"ln of non-positive value {x} at n={n}")
-            return op(x)
-        return ln
-
-    def exp(n):
-        x = arg(n)
-        try:
-            return op(x)
-        except OverflowError:
-            raise EvalError(f"overflow in exp({x})") from None
-    return exp
+        a = _emit(node, d, out, consts)
+        for _, op, _, rhs in reversed(spine):
+            b = _emit(rhs, d + 1, out, consts)
+            out.append(f"{v} = pow({a}, {b})" if op == "^" else f"{v} = {a} {op} {b}")
+            a = v
+    else:
+        x = _emit(node[-1], d, out, consts)
+        if node[1] == "ln":
+            out += [f"if {x} <= 0.0:",
+                    f' raise EvalError(f"ln of non-positive value {{{x}}} at n={{n}}")',
+                    f"{v} = ln({x})"]
+        elif node[1] == "exp":
+            out += [f"try: {v} = exp({x})",
+                    f'except OverflowError: raise EvalError(f"overflow in exp({{{x}}})") from None']
+        else:  # each log of the chain, and the value, must be positive: else iterlog.py says why
+            k = node[2]
+            logs = "".join(f" and (t := ln({'t' if j else x})) > 0.0" for j in range(k))
+            out += [f"if 0.0 < {x} < inf{logs}: {v} = t",
+                    f"else: {v} = _iterlog(iterlog, {k}, {x})"]
+    return v
 
 
-_FLOAT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
-              "^": math.pow, "ln": math.log, "exp": math.exp, "iterlog": iterlog}
+def _iterlog(op: Callable, k: int, x: float) -> float:
+    """``op(k, x)`` where the unrolled chain's guard failed, with the language's checks."""
+    try:
+        v = op(k, x)
+    except DomainError as exc:
+        raise EvalError(str(exc)) from None
+    if v <= 0.0:
+        raise EvalError(f"iterlog({k}, {x}) = {v} is not positive; outside this language's domain")
+    return v
+
+
+# Every binary operator's error, for the whole body: only "/" divides by zero, and only
+# "^" leaves its range or domain.  The EvalErrors of ln, exp and iterlog pass through.
+_HANDLERS = (
+    "  except EvalError:", "   raise",
+    "  except ZeroDivisionError:", '   raise EvalError(f"division by zero at n={n}") from None',
+    "  except OverflowError:",
+    '   raise EvalError(f"overflow evaluating \'^\' at n={n}") from None',
+    "  except ValueError as exc:",
+    '   raise EvalError(f"domain error evaluating \'^\' at n={n}: {exc}") from None',
+)
+
+# Distinct shapes compiled per process; a shape is an AST with its numbers left out.
+_SHAPES_CACHED = 256
+
+
+@lru_cache(maxsize=_SHAPES_CACHED)
+def _factory(source: str) -> Callable:
+    namespace = {"EvalError": EvalError, "inf": math.inf, "isfinite": math.isfinite,
+                 "_iterlog": _iterlog}
+    exec(compile(source, "<expression>", "exec"), namespace)
+    return namespace["make"]
+
+
+def _compile(node: Node, ops: dict[str, Callable], text: str | None = None) -> Callable:
+    """One straight-line function evaluating ``node`` at n over ``ops``, with every
+    runtime check of the language, in the tree walk's order of evaluation.
+
+    ``+ - * /`` and unary ``-`` are infix, which floats and mpmath numbers both
+    define; ``^``, ``ln``, ``exp`` and ``iterlog`` come from ``ops``, and
+    ``iterlog(k, x)`` is unrolled into k calls of ``ln`` behind a guard.  The
+    source is generated from the AST's shape alone: numbers, ``ops`` and
+    ``text`` are arguments of its ``make`` factory, so no input text is ever
+    compiled, and expressions that differ only in their numbers share one code
+    object.  Given ``text``, the function takes ``float(n)`` and rejects a
+    non-finite value, naming ``text``, as :class:`Expression` needs.
+    """
+    body, consts = [], []
+    result = _emit(node, 0, body, consts)
+    params = ", ".join([f"c{i}" for i in range(len(consts))] + ["pow, ln, exp, iterlog, text"])
+    check = 'if not isfinite(r): raise EvalError(f"{text!r} is not finite at n={n0}")'
+    source = "\n".join([f"def make({params}):", " def f(n0):",
+                        "  n = float(n0)" if text is not None else "  n = n0", "  try:",
+                        *("   " + line for line in body), f"   r = {result}", *_HANDLERS,
+                        "  " + check if text is not None else "", "  return r", " return f"])
+    return _factory(source)(*consts, ops["^"], ops["ln"], ops["exp"], ops["iterlog"], text)
+
+
+_FLOAT_OPS = {"^": math.pow, "ln": math.log, "exp": math.exp, "iterlog": iterlog}
 
 
 @dataclass(frozen=True)
 class Expression:
-    """A parsed expression, compiled once and callable at any real index."""
+    """A parsed expression, callable at any real index; compiled on its first call."""
 
     text: str
     ast: Node = field(repr=False, compare=False)  # fixed by the text
-    fn: Callable[[float], float] = field(repr=False, compare=False)
+    fn: Callable | None = field(default=None, init=False, repr=False, compare=False)
 
     def __call__(self, n: float) -> float:
-        v = self.fn(float(n))
-        if not math.isfinite(v):
-            raise EvalError(f"{self.text!r} is not finite at n={n}")
-        return v
+        fn = self.fn
+        if fn is None:
+            fn = _compile(self.ast, _FLOAT_OPS, self.text)
+            object.__setattr__(self, "fn", fn)
+        return fn(n)
 
 
 def parse_expression(text: str) -> Expression:
@@ -242,5 +282,4 @@ def parse_expression(text: str) -> Expression:
     """
     if not isinstance(text, str):
         raise ExpressionSyntaxError("expression must be a string", 0)
-    ast = _Parser(text).parse()
-    return Expression(text, ast, _compile(ast, _FLOAT_OPS))
+    return Expression(text, _Parser(text).parse())

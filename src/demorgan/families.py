@@ -34,7 +34,7 @@ import mpmath as mp
 from .birthdeath import BirthDeathRates
 from .convergence import RatioSpec, _check_integers
 from .errors import DomainError
-from .expr import _FLOAT_OPS, _compile, parse_expression
+from .expr import _compile, parse_expression
 from .iterlog import K_MAX_NUMERIC, _check_index, min_domain
 from .walk import DriftSpec
 
@@ -55,7 +55,7 @@ def _mp_iterlog(k: int, x: mp.mpf) -> mp.mpf:
 
 
 # The expression operations over mpmath numbers, at mpmath's working precision.
-_MP_OPS = {**_FLOAT_OPS, "^": mp.power, "ln": mp.ln, "exp": mp.exp, "iterlog": _mp_iterlog}
+_MP_OPS = {"^": mp.power, "ln": mp.ln, "exp": mp.exp, "iterlog": _mp_iterlog}
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,25 @@
 """Expression language: parsing, evaluation, errors, robustness."""
 
+import contextlib
+import io
+import keyword
 import math
 import random
+import re
 import string
+import tokenize
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from demorgan import expr as expr_module
 from demorgan.convergence import RatioSpec
 from demorgan.errors import DomainError, EvalError, ExpressionSyntaxError
-from demorgan.expr import parse_expression
-from demorgan.iterlog import iterlog
+from demorgan.expr import _FLOAT_OPS, _compile, parse_expression
+from demorgan.families import _MP_OPS, log_power
+from demorgan.iterlog import iterlog, min_domain
 
 
 class TestEvaluation:
@@ -44,6 +52,17 @@ class TestEvaluation:
 
     def test_whitespace(self):
         assert parse_expression(" 1 + 2 * n ")(3) == 7.0
+
+    def test_unary_minus(self):
+        # factor := "-" factor: it binds looser than "^" and tighter than "*".
+        assert parse_expression("-n^2")(3) == -9.0
+        assert parse_expression("2^-1")(1) == 0.5
+        assert parse_expression("--n")(3) == 3.0
+        assert parse_expression("1 - -n*2")(3) == 7.0
+        assert parse_expression("(-2)^2")(1) == 4.0
+        f, g = parse_expression("ln(n)^-0.5"), parse_expression("ln(n)^(0-0.5)")
+        for n in (2, 3, 17, 10**6):
+            assert f(n).hex() == g(n).hex()
 
 
 class TestRuntimeErrors:
@@ -100,10 +119,10 @@ class TestParseErrors:
             parse_expression("(1+2")
         assert "')'" in exc.value.expected
 
-    def test_no_unary_minus(self):
-        # The grammar has no prefix operators; "-" only appears between terms.
-        with pytest.raises(ExpressionSyntaxError):
-            parse_expression("-n")
+    def test_unary_minus_nesting_limit(self):
+        parse_expression("-" * 99 + "n")
+        with pytest.raises(ExpressionSyntaxError, match="nested too deeply"):
+            parse_expression("-" * 500 + "n")
 
     def test_deep_nesting_is_a_parse_error(self):
         with pytest.raises(ExpressionSyntaxError):
@@ -198,6 +217,7 @@ def _extend(children):
         st.tuples(st.just("bin"), st.sampled_from(sorted(_PREC)), children, children),
         st.tuples(st.just("call"), st.sampled_from(["ln", "exp"]), children),
         st.tuples(st.just("call"), st.just("iterlog"), st.integers(1, 4), children),
+        st.tuples(st.just("neg"), children),
     )
 
 
@@ -210,6 +230,9 @@ def _show(node):
         return repr(node[1])
     if node[0] == "n":
         return "n"
+    if node[0] == "neg":  # "-" binds as tightly as "^" does to its left operand
+        text = _show(node[1])
+        return f"-({text})" if node[1][0] == "bin" and node[1][1] != "^" else f"-{text}"
     if node[0] == "call":
         if node[1] == "iterlog":
             return f"iterlog({node[2]}, {_show(node[3])})"
@@ -219,7 +242,7 @@ def _show(node):
 
     def operand(child, tie_needs_parens):
         text = _show(child)
-        prec = _PREC[child[1]] if child[0] == "bin" else 4
+        prec = _PREC[child[1]] if child[0] == "bin" else 3 if child[0] == "neg" else 4
         if prec < _PREC[op] or (prec == _PREC[op] and tie_needs_parens):
             return f"({text})"
         return text
@@ -234,6 +257,8 @@ def _reference(node, n):
         return node[1]
     if kind == "n":
         return n
+    if kind == "neg":
+        return -_reference(node[1], n)
     if kind == "bin":
         op, a, b = node[1], _reference(node[2], n), _reference(node[3], n)
         if op == "+":
@@ -296,6 +321,8 @@ def _tree_walk(node, n):
         return node[1]
     if kind == "n":
         return n
+    if kind == "neg":
+        return -_tree_walk(node[1], n)
     if kind == "bin":
         _, op, lhs, rhs = node
         a = _tree_walk(lhs, n)
@@ -397,3 +424,115 @@ class TestCompiler:
         assert a != parse_expression(text + "+n")
         spec = RatioSpec(ratio=a, delta=b, first_index=1)
         assert repr(a) in repr(spec)
+
+
+# Where the unrolled iterlog's guard can fail: outside (0, inf), at each tower
+# 1, e, e^e, e^e^e where some ln_j crosses 0, and at the integers just above.
+_TOWERS = (1.0, math.e, math.e**math.e, math.e**math.e**math.e)
+_ITERLOG_POINTS = (
+    math.nan, -math.inf, -1.0, -0.0, 0.0, math.inf,
+    *_TOWERS, *(math.nextafter(x, d) for x in _TOWERS for d in (0.0, math.inf)),
+    *(float(min_domain(k)) for k in range(1, 5)),
+)
+
+
+class TestUnrolledIterlog:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_boundaries_match_the_tree_walk(self, k):
+        expr = parse_expression(f"iterlog({k}, n)")
+        for x in _ITERLOG_POINTS:
+            assert _result(expr, x) == _result(_walked, expr.text, expr.ast, x), x
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_mpmath_boundaries_raise_not_go_complex(self, k):
+        ast = parse_expression(f"iterlog({k}, n)").ast
+        f = _compile(ast, _MP_OPS)
+        for x in _ITERLOG_POINTS:
+            try:
+                v = f(mp.mpf(x))
+            except EvalError:
+                assert math.isnan(x) or _result(_walked, "", ast, x)[0] is EvalError, x
+                continue
+            assert isinstance(v, mp.mpf), x
+            if math.isfinite(x):
+                assert math.isclose(float(v), _tree_walk(ast, x), rel_tol=1e-15), x
+            else:  # iterlog.py rejects non-finite floats; mpmath's logs keep nan and +inf
+                assert not mp.isfinite(v), x
+
+
+@contextlib.contextmanager
+def _recorded_sources():
+    """Every source the compiler asks its shape cache for, hit or miss."""
+    seen, factory = [], expr_module._factory
+    expr_module._factory = lambda source: seen.append(source) or factory(source)
+    try:
+        yield seen
+    finally:
+        expr_module._factory = factory
+
+
+_SOURCE_NAMES = {"make", "f", "n", "n0", "r", "t", "exc", "text", "pow", "ln", "exp", "iterlog",
+                 "_iterlog", "inf", "isfinite", "float", "EvalError", "ZeroDivisionError",
+                 "OverflowError", "ValueError"}
+_SOURCE_OPS = {"+", "-", "*", "/", "(", ")", ",", ":", "=", ":=", "<", "<=", ">"}
+_OPERAND = r"\{(?:n|[cv]\d+)\}"
+_SOURCE_STRINGS = (
+    f'f"ln of non-positive value {_OPERAND} at n={{n}}"', f'f"overflow in exp\\({_OPERAND}\\)"',
+    re.escape('f"division by zero at n={n}"'),
+    re.escape('f"overflow evaluating \'^\' at n={n}"'),
+    re.escape('f"domain error evaluating \'^\' at n={n}: {exc}"'),
+    re.escape('f"{text!r} is not finite at n={n0}"'),
+)
+
+
+def _check_source(source):
+    """Generated names, Python's own, fixed messages, 0.0 and depths 1-4: nothing else."""
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.NAME:
+            assert (keyword.iskeyword(tok.string) or tok.string in _SOURCE_NAMES
+                    or re.fullmatch(r"[cv]\d+", tok.string)), tok
+        elif tok.type == tokenize.NUMBER:
+            assert tok.string in {"0.0", "1", "2", "3", "4"}, tok
+        elif tok.type == tokenize.OP:
+            assert tok.string in _SOURCE_OPS, tok
+        elif tok.type == tokenize.STRING:
+            assert any(re.fullmatch(p, tok.string) for p in _SOURCE_STRINGS), tok
+
+
+class TestShapeCache:
+    def test_numbers_share_one_code_object(self):
+        exprs = [parse_expression(text) for text in ("7/n", "2.5/n", "٣/n")]
+        assert [e(2) for e in exprs] == [3.5, 1.25, 1.5]
+        assert len({e.fn.__code__ for e in exprs}) == 1
+
+    def test_compiled_on_first_call(self):
+        # A series family parses its expression but samples its exact delta.
+        e = parse_expression("1/(n*ln(n)^1.3)")
+        with _recorded_sources() as seen:
+            family = log_power(1.3)
+            assert e.fn is None and seen == []
+            e(10), e(11), family.ratio_spec.ratio(10)
+        assert len(seen) == 2 and e.fn is not None
+
+    @pytest.mark.parametrize("text", [
+        "12345.678/n + iterlog(3, n)^-0.25", "exp(-987.5*n) - ln(n+31.75)",
+        "1/n + 1/(n*ln(n)) + 0.4375/(n*ln(n)*iterlog(2,n))", "0.2 + 0.05/ln(n+1)",
+    ])
+    def test_source_holds_no_input_text(self, text):
+        with _recorded_sources() as seen:
+            parse_expression(text)(100)
+            _compile(parse_expression(text).ast, _MP_OPS)
+        assert len(seen) == 2
+        for source in seen:
+            _check_source(source)
+            for number in re.findall(r"\d+\.\d+|\d{2,}", text):
+                assert number not in source
+
+    @given(_ASTS)
+    @settings(max_examples=100, deadline=None)
+    def test_every_source_is_built_from_the_shape(self, ast):
+        with _recorded_sources() as seen:
+            _compile(ast, _FLOAT_OPS, _show(ast))
+            _compile(ast, _MP_OPS)
+        for source in seen:
+            _check_source(source)
